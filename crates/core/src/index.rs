@@ -176,21 +176,6 @@ impl TauIndex {
         tau_search(self, query, k, l, opts, scratch)
     }
 
-    /// Filtered τ-monotonic search: results restricted to nodes the filter
-    /// admits, with the traversal beam widened by its estimated
-    /// selectivity. See [`crate::search::tau_search_filtered`].
-    pub fn search_filtered<F: ann_graph::SearchFilter + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        l: usize,
-        opts: TauSearchOptions,
-        filter: &F,
-        scratch: &mut Scratch,
-    ) -> QueryResult {
-        crate::search::tau_search_filtered(self, query, k, l, opts, filter, scratch)
-    }
-
     /// Serialize the index structure (not the vectors).
     pub fn to_bytes(&self) -> Vec<u8> {
         let graph_bytes = graph_to_bytes(&self.graph);

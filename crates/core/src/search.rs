@@ -1,5 +1,12 @@
 //! τ-monotonic search with query-aware edge occlusion (QEO).
 //!
+//! Every search here is an instantiation of the workspace's one traversal
+//! core, [`ann_graph::traverse`]: exact distances, QEO as its edge gate,
+//! and — for filtered search — a sink that offers admitted nodes to the
+//! separate result pool. [`tau_search_with_beam`] is the one
+//! implementation; [`tau_search`] and [`tau_search_filtered`] choose its
+//! beam and filter.
+//!
 //! **Two-phase search \[R\].** Following the paper's analysis, the traversal
 //! is split into (1) approaching the query's vicinity and (2) finishing the
 //! τ-ball. Phase 1 is a pure greedy descent (beam width 1) — on a
@@ -25,11 +32,26 @@
 //! L2 and, via the chord identity, for unit-normalized cosine data; for a
 //! non-normalized cosine query the optimization auto-disables (correctness
 //! over speed).
+//!
+//! QEO stays sound under filtering because it bounds the *traversal* pool
+//! only: a skipped neighbor provably cannot enter a full traversal pool, and
+//! any admitted node at that distance would rank past the l-th traversal
+//! candidate — outside the result capacity `l ≤ l_beam` too.
+//!
+//! **SQ8.** With the side-car enabled, an unfiltered search expands over u8
+//! codes and re-ranks the final pool exactly. QEO is bypassed there — its
+//! stored edge lengths bound *exact* distances, and mixing those bounds with
+//! quantized candidate distances could prune a candidate the quantizer
+//! displaced inward — and so are filters: quantized candidate distances
+//! would make the admitted/rejected boundary depend on the quantizer.
 
 use crate::geometry::EuclideanView;
 use crate::index::TauIndex;
-use ann_graph::{greedy_descent_dyn, GraphView, QueryResult, Scratch, SearchStats};
-use ann_vectors::metric::{dot, Metric};
+use ann_graph::{
+    beam_search_sq8_rerank, greedy_descent_dyn, traverse, widened_beam, with_kernel, AcceptAll,
+    Candidate, EdgeGate, Exact, GraphView, Pool, QueryResult, Scratch, SearchFilter, SearchStats,
+};
+use ann_vectors::metric::dot;
 
 /// Options of the τ-monotonic search (experiment E9 ablates both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +76,49 @@ impl TauSearchOptions {
     }
 }
 
-/// Execute the τ-monotonic search. See module docs for the algorithm.
+/// QEO as the traversal's edge gate: the triangle bound over the stored
+/// edge lengths of the node being expanded.
+struct QeoGate<'a> {
+    index: &'a TauIndex,
+    on: bool,
+    /// Euclidean distance from the query to the node being expanded.
+    d_qu_eu: f32,
+    /// Euclidean lengths of its out-edges, slot-aligned.
+    lens: &'a [f32],
+}
+
+impl<'a> QeoGate<'a> {
+    /// `enabled`, unless the bound would be unsound for this query: it is
+    /// exact for L2; for cosine only when the query is on the unit sphere
+    /// (the chord identity needs it).
+    fn new(index: &'a TauIndex, query: &[f32], enabled: bool) -> Self {
+        let on = enabled
+            && match index.view {
+                EuclideanView::SquaredL2 => true,
+                EuclideanView::UnitSphere => (dot(query, query) - 1.0).abs() < 1e-3,
+            };
+        QeoGate { index, on, d_qu_eu: 0.0, lens: &[] }
+    }
+}
+
+impl EdgeGate for QeoGate<'_> {
+    #[inline]
+    fn expand(&mut self, cand: Candidate) {
+        if self.on {
+            self.d_qu_eu = self.index.view.to_euclidean(cand.dist);
+            self.lens = self.index.edge_lengths(cand.id);
+        }
+    }
+    #[inline]
+    fn skips(&self, slot: usize, bound: f32) -> bool {
+        self.on
+            && bound.is_finite()
+            && (self.d_qu_eu - self.lens[slot]).abs() >= self.index.view.to_euclidean(bound)
+    }
+}
+
+/// Execute the τ-monotonic search with beam width `l` (at least `k`). See
+/// module docs for the algorithm.
 pub fn tau_search(
     index: &TauIndex,
     query: &[f32],
@@ -63,104 +127,7 @@ pub fn tau_search(
     opts: TauSearchOptions,
     scratch: &mut Scratch,
 ) -> QueryResult {
-    let store = &index.store;
-    let metric = index.metric;
-    let graph = &index.graph;
-    let l = l.max(k).max(1);
-    let mut stats = SearchStats::default();
-
-    // QEO soundness: exact for L2; for cosine only when the query is on the
-    // unit sphere (the chord identity needs it).
-    let qeo = opts.qeo
-        && match index.view {
-            EuclideanView::SquaredL2 => true,
-            EuclideanView::UnitSphere => (dot(query, query) - 1.0).abs() < 1e-3,
-        };
-
-    // Phase 1: greedy descent to the query's vicinity.
-    let entry = if opts.two_phase {
-        let (node, _) = greedy_descent_dyn(metric, store, graph, index.entry, query, &mut stats);
-        node
-    } else {
-        index.entry
-    };
-
-    // SQ8 fast path: beam expansion over u8 codes with exact f32 re-rank of
-    // the final pool. QEO is bypassed here — its stored edge lengths bound
-    // *exact* distances, and mixing those bounds with quantized candidate
-    // distances could prune a candidate the quantizer displaced inward.
-    if let Some(sq8) = index.sq8() {
-        let mut out = ann_graph::beam_search_sq8_rerank(
-            metric,
-            store,
-            sq8,
-            graph,
-            &[entry],
-            query,
-            k,
-            l,
-            scratch,
-        );
-        out.stats.ndc += stats.ndc;
-        out.stats.hops += stats.hops;
-        return out;
-    }
-
-    // Phase 2: beam of width l with optional QEO.
-    scratch.pool.reset(l);
-    scratch.visited.resize(graph.num_nodes());
-    scratch.visited.clear();
-    {
-        let d = metric.distance(query, store.get(entry));
-        stats.ndc += 1;
-        scratch.visited.insert(entry);
-        scratch.pool.insert(d, entry);
-    }
-    let mut cursor = 0usize;
-    while let Some(pos) = scratch.pool.next_unexpanded(cursor) {
-        let cand = scratch.pool.expand(pos);
-        stats.hops += 1;
-        let d_qu_eu = index.view.to_euclidean(cand.dist);
-        let mut best_insert = usize::MAX;
-        let neighbors = graph.neighbors(cand.id);
-        let lens = index.edge_lengths(cand.id);
-        // Software prefetch: touch the next neighbor's vector row while the
-        // current one is in the distance kernel, hiding the cache miss.
-        if let Some(&first) = neighbors.first() {
-            store.prefetch(first);
-        }
-        for (slot, &v) in neighbors.iter().enumerate() {
-            if let Some(&next) = neighbors.get(slot + 1) {
-                store.prefetch(next);
-            }
-            if scratch.visited.contains(v) {
-                continue;
-            }
-            let bound = scratch.pool.admission_bound();
-            if qeo && bound.is_finite() {
-                let bound_eu = index.view.to_euclidean(bound);
-                if (d_qu_eu - lens[slot]).abs() >= bound_eu {
-                    // Provably cannot enter the pool from here; leave
-                    // unvisited so a closer expansion may still reach it.
-                    stats.skipped += 1;
-                    continue;
-                }
-            }
-            scratch.visited.insert(v);
-            let d = metric.distance(query, store.get(v));
-            stats.ndc += 1;
-            if d >= bound {
-                continue;
-            }
-            if let Some(p) = scratch.pool.insert(d, v) {
-                best_insert = best_insert.min(p);
-            }
-        }
-        cursor = if best_insert <= pos { best_insert } else { pos + 1 };
-    }
-
-    let (ids, dists) = scratch.pool.top_k(k);
-    QueryResult { ids, dists, stats }
+    tau_search_with_beam(index, query, k, l, l, opts, None::<&AcceptAll>, scratch)
 }
 
 /// Filtered τ-monotonic search: the same two-phase traversal as
@@ -173,14 +140,7 @@ pub fn tau_search(
 /// so the expected number of admitted candidates matches an unfiltered
 /// beam of width `l`. The result pool also has capacity `l` so ties at the
 /// k-th distance resolve exactly as the unfiltered path does (by id).
-///
-/// Differences from the unfiltered path, by design:
-/// * The SQ8 fast path is bypassed — quantized candidate distances would
-///   make the admitted/rejected boundary depend on the quantizer.
-/// * Greedy descent (phase 1) is *unfiltered*: it only picks the beam's
-///   entry point, and a non-matching entry is handled like a tombstoned
-///   one — traversed, never returned.
-pub fn tau_search_filtered<F: ann_graph::SearchFilter + ?Sized>(
+pub fn tau_search_filtered<F: SearchFilter + ?Sized>(
     index: &TauIndex,
     query: &[f32],
     k: usize,
@@ -190,134 +150,75 @@ pub fn tau_search_filtered<F: ann_graph::SearchFilter + ?Sized>(
     scratch: &mut Scratch,
 ) -> QueryResult {
     let l = l.max(k).max(1);
-    let l_beam = ann_graph::widened_beam(l, filter.selectivity(), index.graph.num_nodes());
-    tau_search_filtered_with_beam(index, query, k, l, l_beam, opts, filter, scratch)
+    let l_beam = widened_beam(l, filter.selectivity(), index.graph.num_nodes());
+    tau_search_with_beam(index, query, k, l, l_beam, opts, Some(filter), scratch)
 }
 
-/// [`tau_search_filtered`] with an explicit traversal beam width.
+/// The τ-monotonic search with an explicit traversal beam `l_beam` (at
+/// least `l`) and an optional result filter; `l` is the capacity of the
+/// pool the answer is read from.
 ///
-/// The serving layer uses this as a completeness backstop: when the
-/// selectivity-widened beam still yields fewer than `k` admitted results
-/// (a region dense in filtered-out nodes), re-running with
+/// The serving layer calls this directly as a completeness backstop: when
+/// the selectivity-widened beam still yields fewer than `k` admitted
+/// results (a region dense in filtered-out nodes), re-running with
 /// `l_beam = num_nodes` makes the traversal exhaustive over the entry's
 /// connected component — a beam that never fills never prunes.
+///
+/// Greedy descent (phase 1) is *unfiltered*: it only picks the beam's entry
+/// point, and a non-matching entry is handled like a tombstoned one —
+/// traversed, never returned.
 #[allow(clippy::too_many_arguments)]
-pub fn tau_search_filtered_with_beam<F: ann_graph::SearchFilter + ?Sized>(
+pub fn tau_search_with_beam<F: SearchFilter + ?Sized>(
     index: &TauIndex,
     query: &[f32],
     k: usize,
     l: usize,
     l_beam: usize,
     opts: TauSearchOptions,
-    filter: &F,
+    filter: Option<&F>,
     scratch: &mut Scratch,
 ) -> QueryResult {
-    let store = &index.store;
-    let metric = index.metric;
-    let graph = &index.graph;
+    let TauIndex { metric, store, graph, .. } = index;
     let l = l.max(k).max(1);
-    let l_beam = l_beam.max(l);
     let mut stats = SearchStats::default();
-
-    let qeo = opts.qeo
-        && match index.view {
-            EuclideanView::SquaredL2 => true,
-            EuclideanView::UnitSphere => (dot(query, query) - 1.0).abs() < 1e-3,
-        };
-
-    // Phase 1: greedy descent to the query's vicinity (unfiltered — it
-    // only selects where the beam starts).
     let entry = if opts.two_phase {
-        let (node, _) = greedy_descent_dyn(metric, store, graph, index.entry, query, &mut stats);
-        node
+        greedy_descent_dyn(*metric, store, graph, index.entry, query, &mut stats).0
     } else {
         index.entry
     };
-
-    // Phase 2: beam of width l_beam with optional QEO; admitted nodes
-    // accumulate in scratch.results (capacity l).
-    scratch.pool.reset(l_beam);
-    scratch.results.reset(l);
-    scratch.visited.resize(graph.num_nodes());
-    scratch.visited.clear();
-    {
-        let d = metric.distance(query, store.get(entry));
-        stats.ndc += 1;
-        scratch.visited.insert(entry);
-        if filter.admits(entry) {
-            scratch.results.insert(d, entry);
-        }
-        scratch.pool.insert(d, entry);
+    if let (None, Some(sq8)) = (filter, index.sq8()) {
+        let mut out =
+            beam_search_sq8_rerank(*metric, store, sq8, graph, &[entry], query, k, l, scratch);
+        out.stats.accumulate(stats);
+        return out;
     }
-    let mut cursor = 0usize;
-    while let Some(pos) = scratch.pool.next_unexpanded(cursor) {
-        let cand = scratch.pool.expand(pos);
-        stats.hops += 1;
-        let d_qu_eu = index.view.to_euclidean(cand.dist);
-        let mut best_insert = usize::MAX;
-        let neighbors = graph.neighbors(cand.id);
-        let lens = index.edge_lengths(cand.id);
-        if let Some(&first) = neighbors.first() {
-            store.prefetch(first);
-        }
-        for (slot, &v) in neighbors.iter().enumerate() {
-            if let Some(&next) = neighbors.get(slot + 1) {
-                store.prefetch(next);
-            }
-            if scratch.visited.contains(v) {
-                continue;
-            }
-            let bound = scratch.pool.admission_bound();
-            if qeo && bound.is_finite() {
-                // QEO stays sound under filtering because it bounds the
-                // *traversal* pool only: a skipped neighbor provably cannot
-                // enter a full traversal pool, and any admitted node at
-                // that distance would rank past the l-th traversal
-                // candidate — outside the result capacity l ≤ l_beam too.
-                let bound_eu = index.view.to_euclidean(bound);
-                if (d_qu_eu - lens[slot]).abs() >= bound_eu {
-                    stats.skipped += 1;
-                    continue;
+    let gate = QeoGate::new(index, query, opts.qeo);
+    let l_beam = l_beam.max(l);
+    let no_sink = |_: &mut Pool, _, _| {};
+    let (ids, dists) = with_kernel!(*metric, |kernel| {
+        let source = Exact { store, query, kernel };
+        if let Some(filter) = filter {
+            scratch.results.reset(l);
+            let sink = |results: &mut Pool, d, v| {
+                if filter.admits(v) {
+                    results.insert(d, v);
                 }
-            }
-            scratch.visited.insert(v);
-            let d = metric.distance(query, store.get(v));
-            stats.ndc += 1;
-            if filter.admits(v) {
-                // Distance already paid for: always a result candidate.
-                scratch.results.insert(d, v);
-            }
-            if d >= bound {
-                continue;
-            }
-            if let Some(p) = scratch.pool.insert(d, v) {
-                best_insert = best_insert.min(p);
-            }
+            };
+            stats.accumulate(traverse(graph, &source, &[entry], l_beam, scratch, sink, gate));
+            scratch.results.top_k(k)
+        } else {
+            stats.accumulate(traverse(graph, &source, &[entry], l_beam, scratch, no_sink, gate));
+            scratch.pool.top_k(k)
         }
-        cursor = if best_insert <= pos { best_insert } else { pos + 1 };
-    }
-
-    let (ids, dists) = scratch.results.top_k(k);
+    });
     QueryResult { ids, dists, stats }
 }
 
 /// Pure greedy descent on a τ-index from its entry point — the primitive the
 /// exactness theorem (E10) is stated about. Returns `(node, dissimilarity)`.
 pub fn tau_greedy_nn(index: &TauIndex, query: &[f32]) -> (u32, f32, SearchStats) {
+    let TauIndex { metric, store, graph, entry, .. } = index;
     let mut stats = SearchStats::default();
-    let (node, dist) = greedy_descent_dyn(
-        index.metric,
-        &index.store,
-        &index.graph,
-        index.entry,
-        query,
-        &mut stats,
-    );
+    let (node, dist) = greedy_descent_dyn(*metric, store, graph, *entry, query, &mut stats);
     (node, dist, stats)
-}
-
-/// Convenience: dispatch on metric for tests.
-#[allow(dead_code)]
-pub(crate) fn metric_is_l2(m: Metric) -> bool {
-    m == Metric::L2
 }

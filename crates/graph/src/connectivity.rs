@@ -2,6 +2,8 @@
 //! repair) and by the analysis experiments.
 
 use crate::adjacency::{GraphView, VarGraph};
+use crate::search::{beam_search_dyn, Scratch};
+use ann_vectors::{Metric, VecStore};
 
 /// Ids reachable from `start` by directed BFS (including `start`).
 pub fn bfs_reachable<G: GraphView>(graph: &G, start: u32) -> Vec<bool> {
@@ -62,6 +64,83 @@ where
         }
         graph.add_edge_dedup(a, orphan);
         added += 1;
+    }
+}
+
+/// Connectivity repair: make every node reachable from `entry` by linking
+/// each orphan from the nearest node a beam search (for the orphan's vector)
+/// can reach, without letting any out-list exceed `cap`. Returns edges added.
+///
+/// The repair alternates two phases until both are quiescent:
+///
+/// 1. **attach** — for each unreached node, pick the nearest beam-reached
+///    anchor (preferring one with a free slot so phase 2 has no work) and add
+///    the directed edge `anchor -> orphan`, remembering it as *forced*;
+/// 2. **trim** — any node the attach pushed over `cap` keeps all forced
+///    edges plus its nearest remaining neighbors up to `cap`.
+///
+/// Trimming can in principle cut a bridge and re-orphan nodes, so the loop
+/// re-checks reachability; the forced set only grows, which bounds the
+/// iteration. A node keeps more than `cap` edges only in the degenerate case
+/// where more than `cap` orphans were forced onto it, which spare-slot anchor
+/// selection makes unreachable in practice.
+pub fn repair_connectivity(
+    graph: &mut VarGraph,
+    store: &VecStore,
+    metric: Metric,
+    entry: u32,
+    l: usize,
+    cap: usize,
+) -> usize {
+    let n = store.len();
+    let mut scratch = Scratch::new(n);
+    let mut forced: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
+    let mut added = 0usize;
+    loop {
+        // Phase 1: attach every orphan.
+        loop {
+            let seen = bfs_reachable(graph, entry);
+            let Some(orphan) = seen.iter().position(|&s| !s) else {
+                break;
+            };
+            let orphan = orphan as u32; // cast: node index fits u32
+            beam_search_dyn(metric, store, graph, &[entry], store.get(orphan), l, &mut scratch);
+            let pool = scratch.pool.as_slice();
+            // Every pool entry was reached from `entry`, so any of them is a
+            // valid anchor; prefer the nearest with a free slot.
+            let anchor = pool
+                .iter()
+                .map(|c| c.id)
+                .find(|&id| id != orphan && graph.neighbors(id).len() < cap)
+                .or_else(|| pool.iter().map(|c| c.id).find(|&id| id != orphan))
+                .unwrap_or(entry);
+            graph.add_edge_dedup(anchor, orphan);
+            forced.insert((anchor, orphan));
+            added += 1;
+        }
+        // Phase 2: restore the degree cap, never dropping forced edges.
+        let mut trimmed = false;
+        // cast: node count fits u32, the graph id type
+        for u in 0..n as u32 {
+            if graph.neighbors(u).len() <= cap {
+                continue;
+            }
+            let vu = store.get(u);
+            let mut nbrs: Vec<(bool, f32, u32)> = graph
+                .neighbors(u)
+                .iter()
+                .map(|&w| (!forced.contains(&(u, w)), metric.distance(vu, store.get(w)), w))
+                .collect();
+            // Forced edges first (false < true), then by distance.
+            nbrs.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+            let keep = cap.max(nbrs.iter().filter(|e| !e.0).count());
+            let list: Vec<u32> = nbrs.into_iter().take(keep).map(|e| e.2).collect();
+            graph.set_neighbors(u, list);
+            trimmed = true;
+        }
+        if !trimmed {
+            return added;
+        }
     }
 }
 

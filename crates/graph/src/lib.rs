@@ -3,8 +3,8 @@
 //! Proximity-graph substrate: adjacency storage ([`adjacency`]), the bounded
 //! sorted candidate pool ([`pool`]), O(1)-clear visited sets ([`visited`]),
 //! a thread-safe scratch-buffer pool for concurrent serving
-//! ([`scratch_pool`]), beam search with uniform NDC/hop accounting
-//! ([`search`]), connectivity
+//! ([`scratch_pool`]), the one beam-search traversal core with uniform
+//! NDC/hop accounting ([`search`]), connectivity
 //! repair utilities ([`connectivity`]), binary persistence ([`serialize`]),
 //! and the [`index::AnnIndex`] trait every index in the workspace implements.
 
@@ -28,9 +28,8 @@ pub use pool::{Candidate, Pool};
 pub use relayout::{bfs_order, invert_order};
 pub use scratch_pool::ScratchPool;
 pub use search::{
-    beam_search, beam_search_collect, beam_search_collect_dyn, beam_search_dyn,
-    beam_search_filtered, beam_search_filtered_dyn, beam_search_sq8_rerank, greedy_descent,
-    greedy_descent_dyn, Scratch, SearchStats,
+    beam_search_collect_dyn, beam_search_dyn, beam_search_sq8_rerank, greedy_descent_dyn, traverse,
+    DistanceSource, EdgeGate, Exact, NoGate, Scratch, SearchStats,
 };
 pub use visited::VisitedSet;
 

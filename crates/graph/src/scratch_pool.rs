@@ -6,7 +6,7 @@
 //! the `Vec` push/pop (never during a search), so the steady state of a
 //! serving layer does no allocation on any path that executes a query.
 //!
-//! [`Scratch`] buffers grow on demand inside `beam_search` (the visited set
+//! [`Scratch`] buffers grow on demand inside `traverse` (the visited set
 //! resizes to the graph), so a pool created for a small snapshot keeps
 //! working as snapshots grow.
 

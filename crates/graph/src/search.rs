@@ -1,19 +1,35 @@
-//! Graph traversal primitives: beam (greedy best-first) search and pure
-//! greedy descent.
+//! The traversal core: one best-first beam loop, and greedy descent.
 //!
-//! This is "Algorithm 1" of the graph-ANN literature. Every index in the
-//! workspace — HNSW layers, NSG, SSG, Vamana, τ-MG/τ-MNG — routes through
-//! [`beam_search`] (or a thin wrapper around it), so distance accounting
-//! (NDC) and hop counting are implemented exactly once and are directly
-//! comparable across algorithms, which is what the paper's NDC figures
-//! require.
+//! This is "Algorithm 1" of the graph-ANN literature. [`traverse`] is the
+//! only beam loop in the workspace: every index — HNSW's bottom layer, NSG,
+//! SSG, Vamana, HCNNG, τ-MG/τ-MNG — and every variant (plain, collecting,
+//! filtered, SQ8, QEO) is an instantiation of it, so distance accounting
+//! (NDC), hop counting and tie-breaks are implemented exactly once and are
+//! directly comparable across algorithms, which is what the paper's NDC
+//! figures require. It is monomorphised over the three axes on which the
+//! variants differ:
+//!
+//! * a **distance source** ([`DistanceSource`]): exact f32 under a
+//!   [`MetricKernel`] ([`Exact`]) or SQ8 codes; each owns its `prefetch`;
+//! * a **sink**, a closure that sees every `(distance, id)` the traversal
+//!   pays for — even one the pool then rejects — together with
+//!   `scratch.results`: nothing, append to a log, or offer to the filtered
+//!   result pool;
+//! * an **edge gate** ([`EdgeGate`]) asked before a distance is paid:
+//!   [`NoGate`], or τ-MNG's QEO triangle bound (in `tau-mg`). A gated-out
+//!   node stays *unvisited*, so a later expansion may still evaluate it.
+//!
+//! The runtime [`Metric`] becomes a kernel type once per query, at the entry
+//! point ([`with_kernel!`](crate::with_kernel)); nothing inside the loop
+//! branches on it. SQ8 distances steer the frontier only: they never meet a
+//! gate's exact bounds or a filter's admitted/rejected boundary.
 
 use crate::adjacency::GraphView;
 use crate::index::QueryResult;
-use crate::pool::Pool;
+use crate::pool::{Candidate, Pool};
 use crate::visited::VisitedSet;
 use ann_vectors::metric::MetricKernel;
-use ann_vectors::{Sq8Query, Sq8Store, VecStore};
+use ann_vectors::{Metric, Sq8Query, Sq8Store, VecStore};
 
 /// Per-query cost counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,7 +55,7 @@ impl SearchStats {
 /// Reusable per-thread search scratch: candidate pool + visited set.
 ///
 /// Allocate once, pass to every search; nothing inside allocates in steady
-/// state. `beam_search` resizes the visited set if the graph grew.
+/// state. [`traverse`] resizes the visited set if the graph grew.
 #[derive(Debug, Clone)]
 pub struct Scratch {
     /// Candidate pool (capacity is reset to L by each search call).
@@ -48,7 +64,7 @@ pub struct Scratch {
     pub visited: VisitedSet,
     /// Result accumulator for *filtered* searches: only filter-admitted
     /// nodes enter it, while `pool` steers the (unfiltered) traversal.
-    /// Unused — and untouched — by the unfiltered entry points.
+    /// The traversal hands it to the sink and never touches it otherwise.
     pub results: Pool,
 }
 
@@ -59,59 +75,163 @@ impl Scratch {
     }
 }
 
-/// Beam search: best-first traversal with a bounded candidate pool of size
-/// `l`, starting from `entries`. On return `scratch.pool` holds the best
-/// candidates found, ascending by distance; callers take the top-k.
+/// Where a traversal's distances come from.
+pub trait DistanceSource {
+    /// Dissimilarity between the query and node `id`.
+    fn dist(&self, id: u32) -> f32;
+    /// Software prefetch: touch node `id`'s row while the previous one is
+    /// in the distance kernel, hiding the cache miss.
+    fn prefetch(&self, id: u32);
+}
+
+/// Exact f32 distances under kernel `K` (a zero-sized value, see
+/// [`with_kernel!`](crate::with_kernel)).
+pub struct Exact<'a, K> {
+    /// The vectors traversed.
+    pub store: &'a VecStore,
+    /// The query, of the store's dimension.
+    pub query: &'a [f32],
+    /// The metric's kernel.
+    pub kernel: K,
+}
+
+impl<K: MetricKernel> DistanceSource for Exact<'_, K> {
+    fn dist(&self, id: u32) -> f32 {
+        K::eval(self.query, self.store.get(id))
+    }
+    fn prefetch(&self, id: u32) {
+        self.store.prefetch(id);
+    }
+}
+
+/// Fused asymmetric u8×f32 distances over SQ8 codes (4x less memory traffic
+/// per expansion); accurate enough to steer the frontier, not to report.
+struct Sq8Codes<'a> {
+    metric: Metric,
+    sq8: &'a Sq8Store,
+    query: Sq8Query<'a>,
+}
+
+impl DistanceSource for Sq8Codes<'_> {
+    #[inline]
+    fn dist(&self, id: u32) -> f32 {
+        self.sq8.dist_to(self.metric, &self.query, id)
+    }
+    #[inline]
+    fn prefetch(&self, id: u32) {
+        self.sq8.prefetch(id);
+    }
+}
+
+/// Consulted before a neighbor's distance is paid for. The defaults skip
+/// nothing.
+pub trait EdgeGate {
+    /// `cand` is about to be expanded; [`EdgeGate::skips`] is asked about
+    /// its out-edges next.
+    fn expand(&mut self, _cand: Candidate) {}
+    /// Whether out-edge `slot` of the node being expanded provably cannot
+    /// lead into a pool whose admission bound is `bound`. The neighbor is
+    /// then counted in [`SearchStats::skipped`] and left unvisited.
+    fn skips(&self, _slot: usize, _bound: f32) -> bool {
+        false
+    }
+}
+
+/// The gate that skips nothing.
+pub struct NoGate;
+
+impl EdgeGate for NoGate {}
+
+/// `with_kernel!(metric, |kernel| body)`: evaluate `body` with `kernel`
+/// bound to the kernel value of the runtime `metric` — the boundary where a
+/// search stops branching on the metric. The calling crate must depend on
+/// `ann-vectors`.
+#[macro_export]
+macro_rules! with_kernel {
+    ($metric:expr, |$k:ident| $body:expr) => {
+        match $metric {
+            ::ann_vectors::Metric::L2 => {
+                let $k = ::ann_vectors::L2Kernel;
+                $body
+            }
+            ::ann_vectors::Metric::Ip => {
+                let $k = ::ann_vectors::IpKernel;
+                $body
+            }
+            ::ann_vectors::Metric::Cosine => {
+                let $k = ::ann_vectors::CosineKernel;
+                $body
+            }
+        }
+    };
+}
+
+/// Beam search: best-first traversal of `graph` from `entries` with a
+/// bounded candidate pool of size `l`. On return `scratch.pool` holds the
+/// best candidates found, ascending by `(distance, id)`.
 ///
 /// The traversal expands the closest unexpanded candidate until every pool
 /// entry is expanded — the standard termination used by HNSW (`ef`), NSG
-/// (`L`) and the paper.
-pub fn beam_search<K: MetricKernel, G: GraphView>(
-    store: &VecStore,
+/// (`L`) and the paper. `sink(&mut scratch.results, dist, id)` runs for
+/// every distance paid, before the pool decides on it; `gate` may veto an
+/// edge before its distance is paid. See the module docs for the contract
+/// of each.
+pub fn traverse<G: GraphView>(
     graph: &G,
+    source: &impl DistanceSource,
     entries: &[u32],
-    query: &[f32],
     l: usize,
     scratch: &mut Scratch,
+    mut sink: impl FnMut(&mut Pool, f32, u32),
+    mut gate: impl EdgeGate,
 ) -> SearchStats {
-    debug_assert!(l > 0, "beam width must be positive");
+    let Scratch { pool, visited, results } = scratch;
     let mut stats = SearchStats::default();
-    scratch.pool.reset(l);
-    scratch.visited.resize(graph.num_nodes());
-    scratch.visited.clear();
+    pool.reset(l);
+    visited.resize(graph.num_nodes());
+    visited.clear();
 
     for &e in entries {
-        if scratch.visited.insert(e) {
-            let d = K::eval(query, store.get(e));
+        if visited.insert(e) {
+            let d = source.dist(e);
             stats.ndc += 1;
-            scratch.pool.insert(d, e);
+            sink(results, d, e);
+            pool.insert(d, e);
         }
     }
 
     let mut cursor = 0usize;
-    while let Some(pos) = scratch.pool.next_unexpanded(cursor) {
-        let cand = scratch.pool.expand(pos);
+    while let Some(pos) = pool.next_unexpanded(cursor) {
+        let cand = pool.expand(pos);
         stats.hops += 1;
+        gate.expand(cand);
         let mut best_insert = usize::MAX;
         let neighbors = graph.neighbors(cand.id);
-        // Software prefetch: touch the next neighbor's vector row while the
-        // current one is in the distance kernel, hiding the cache miss.
         if let Some(&first) = neighbors.first() {
-            store.prefetch(first);
+            source.prefetch(first);
         }
-        for (j, &v) in neighbors.iter().enumerate() {
-            if let Some(&next) = neighbors.get(j + 1) {
-                store.prefetch(next);
+        for (slot, &v) in neighbors.iter().enumerate() {
+            if let Some(&next) = neighbors.get(slot + 1) {
+                source.prefetch(next);
             }
-            if !scratch.visited.insert(v) {
+            if visited.contains(v) {
                 continue;
             }
-            let d = K::eval(query, store.get(v));
+            let bound = pool.admission_bound();
+            if gate.skips(slot, bound) {
+                stats.skipped += 1;
+                continue;
+            }
+            visited.insert(v);
+            let d = source.dist(v);
             stats.ndc += 1;
-            if d >= scratch.pool.admission_bound() {
+            // The distance is paid for: the sink sees it even if the
+            // traversal pool will not admit it.
+            sink(results, d, v);
+            if d >= bound {
                 continue;
             }
-            if let Some(p) = scratch.pool.insert(d, v) {
+            if let Some(p) = pool.insert(d, v) {
                 best_insert = best_insert.min(p);
             }
         }
@@ -123,180 +243,33 @@ pub fn beam_search<K: MetricKernel, G: GraphView>(
     stats
 }
 
-/// Filter-during-search beam traversal: identical frontier mechanics to
-/// [`beam_search`], except every evaluated node is *also* offered to
-/// `scratch.results` — a second bounded pool of capacity `l_result` that
-/// only admits nodes passing `filter`. Non-matching nodes still steer the
-/// beam (they stay eligible for the traversal pool), so the walk crosses
-/// filtered-out regions of the graph instead of stalling at their edge;
-/// they just never occupy a result slot.
-///
-/// `l_beam` is the traversal beam width — callers widen it by the filter's
-/// estimated selectivity (see [`crate::filter::widened_beam`]) so the
-/// expected number of admitted candidates matches an unfiltered beam of
-/// the requested width. On return `scratch.results` holds the admitted
-/// candidates ascending by `(distance, id)`; take the top-k from there.
-///
-/// With [`crate::filter::AcceptAll`] and `l_beam == l_result == l`, the
-/// traversal — pool admissions, expansions, NDC, hops — is *identical* to
-/// [`beam_search`] with beam `l`, and `scratch.results` ends up with the
-/// same contents as `scratch.pool`.
-#[allow(clippy::too_many_arguments)]
-pub fn beam_search_filtered<K: MetricKernel, G: GraphView, F: crate::filter::SearchFilter>(
+/// Plain beam search under a runtime metric; take the top-k from
+/// `scratch.pool`.
+pub fn beam_search_dyn<G: GraphView>(
+    metric: Metric,
     store: &VecStore,
     graph: &G,
     entries: &[u32],
     query: &[f32],
-    l_beam: usize,
-    l_result: usize,
-    filter: &F,
+    l: usize,
     scratch: &mut Scratch,
 ) -> SearchStats {
-    debug_assert!(l_beam > 0 && l_result > 0, "beam widths must be positive");
-    let mut stats = SearchStats::default();
-    scratch.pool.reset(l_beam);
-    scratch.results.reset(l_result);
-    scratch.visited.resize(graph.num_nodes());
-    scratch.visited.clear();
-
-    for &e in entries {
-        if scratch.visited.insert(e) {
-            let d = K::eval(query, store.get(e));
-            stats.ndc += 1;
-            if filter.admits(e) {
-                scratch.results.insert(d, e);
-            }
-            scratch.pool.insert(d, e);
-        }
-    }
-
-    let mut cursor = 0usize;
-    while let Some(pos) = scratch.pool.next_unexpanded(cursor) {
-        let cand = scratch.pool.expand(pos);
-        stats.hops += 1;
-        let mut best_insert = usize::MAX;
-        let neighbors = graph.neighbors(cand.id);
-        if let Some(&first) = neighbors.first() {
-            store.prefetch(first);
-        }
-        for (j, &v) in neighbors.iter().enumerate() {
-            if let Some(&next) = neighbors.get(j + 1) {
-                store.prefetch(next);
-            }
-            if !scratch.visited.insert(v) {
-                continue;
-            }
-            let d = K::eval(query, store.get(v));
-            stats.ndc += 1;
-            if filter.admits(v) {
-                // The distance is already paid for: offer it as a result
-                // even if the traversal pool won't admit it.
-                scratch.results.insert(d, v);
-            }
-            if d >= scratch.pool.admission_bound() {
-                continue;
-            }
-            if let Some(p) = scratch.pool.insert(d, v) {
-                best_insert = best_insert.min(p);
-            }
-        }
-        cursor = if best_insert <= pos { best_insert } else { pos + 1 };
-    }
-    stats
+    let sink = |_: &mut Pool, _, _| {};
+    with_kernel!(metric, |kernel| {
+        traverse(graph, &Exact { store, query, kernel }, entries, l, scratch, sink, NoGate)
+    })
 }
 
-/// Runtime-metric wrapper over [`beam_search_filtered`].
-#[allow(clippy::too_many_arguments)]
-pub fn beam_search_filtered_dyn<G: GraphView, F: crate::filter::SearchFilter>(
-    metric: ann_vectors::Metric,
-    store: &VecStore,
-    graph: &G,
-    entries: &[u32],
-    query: &[f32],
-    l_beam: usize,
-    l_result: usize,
-    filter: &F,
-    scratch: &mut Scratch,
-) -> SearchStats {
-    use ann_vectors::{CosineKernel, IpKernel, L2Kernel, Metric};
-    match metric {
-        Metric::L2 => beam_search_filtered::<L2Kernel, G, F>(
-            store, graph, entries, query, l_beam, l_result, filter, scratch,
-        ),
-        Metric::Ip => beam_search_filtered::<IpKernel, G, F>(
-            store, graph, entries, query, l_beam, l_result, filter, scratch,
-        ),
-        Metric::Cosine => beam_search_filtered::<CosineKernel, G, F>(
-            store, graph, entries, query, l_beam, l_result, filter, scratch,
-        ),
-    }
-}
-
-/// Like [`beam_search`], but additionally records every `(dist, id)` pair
-/// evaluated during the traversal into `visited_log` (unordered).
+/// Like [`beam_search_dyn`], but additionally appends every `(dist, id)`
+/// pair evaluated during the traversal to `visited_log`, in evaluation
+/// order.
 ///
 /// This is the candidate-acquisition primitive of the NSG-family
 /// construction pipelines (NSG, SSG, Vamana, τ-MNG): the pruning step wants
 /// the *full* set of points the search touched, not just the final pool.
-pub fn beam_search_collect<K: MetricKernel, G: GraphView>(
-    store: &VecStore,
-    graph: &G,
-    entries: &[u32],
-    query: &[f32],
-    l: usize,
-    scratch: &mut Scratch,
-    visited_log: &mut Vec<(f32, u32)>,
-) -> SearchStats {
-    debug_assert!(l > 0, "beam width must be positive");
-    let mut stats = SearchStats::default();
-    scratch.pool.reset(l);
-    scratch.visited.resize(graph.num_nodes());
-    scratch.visited.clear();
-
-    for &e in entries {
-        if scratch.visited.insert(e) {
-            let d = K::eval(query, store.get(e));
-            stats.ndc += 1;
-            visited_log.push((d, e));
-            scratch.pool.insert(d, e);
-        }
-    }
-
-    let mut cursor = 0usize;
-    while let Some(pos) = scratch.pool.next_unexpanded(cursor) {
-        let cand = scratch.pool.expand(pos);
-        stats.hops += 1;
-        let mut best_insert = usize::MAX;
-        let neighbors = graph.neighbors(cand.id);
-        if let Some(&first) = neighbors.first() {
-            store.prefetch(first);
-        }
-        for (j, &v) in neighbors.iter().enumerate() {
-            if let Some(&next) = neighbors.get(j + 1) {
-                store.prefetch(next);
-            }
-            if !scratch.visited.insert(v) {
-                continue;
-            }
-            let d = K::eval(query, store.get(v));
-            stats.ndc += 1;
-            visited_log.push((d, v));
-            if d >= scratch.pool.admission_bound() {
-                continue;
-            }
-            if let Some(p) = scratch.pool.insert(d, v) {
-                best_insert = best_insert.min(p);
-            }
-        }
-        cursor = if best_insert <= pos { best_insert } else { pos + 1 };
-    }
-    stats
-}
-
-/// Runtime-metric wrapper over [`beam_search_collect`].
 #[allow(clippy::too_many_arguments)]
 pub fn beam_search_collect_dyn<G: GraphView>(
-    metric: ann_vectors::Metric,
+    metric: Metric,
     store: &VecStore,
     graph: &G,
     entries: &[u32],
@@ -305,68 +278,20 @@ pub fn beam_search_collect_dyn<G: GraphView>(
     scratch: &mut Scratch,
     visited_log: &mut Vec<(f32, u32)>,
 ) -> SearchStats {
-    use ann_vectors::{CosineKernel, IpKernel, L2Kernel, Metric};
-    match metric {
-        Metric::L2 => beam_search_collect::<L2Kernel, G>(
-            store,
-            graph,
-            entries,
-            query,
-            l,
-            scratch,
-            visited_log,
-        ),
-        Metric::Ip => beam_search_collect::<IpKernel, G>(
-            store,
-            graph,
-            entries,
-            query,
-            l,
-            scratch,
-            visited_log,
-        ),
-        Metric::Cosine => beam_search_collect::<CosineKernel, G>(
-            store,
-            graph,
-            entries,
-            query,
-            l,
-            scratch,
-            visited_log,
-        ),
-    }
-}
-
-/// Runtime-metric wrapper over [`beam_search`]: dispatches to the
-/// monomorphized kernel once per query.
-pub fn beam_search_dyn<G: GraphView>(
-    metric: ann_vectors::Metric,
-    store: &VecStore,
-    graph: &G,
-    entries: &[u32],
-    query: &[f32],
-    l: usize,
-    scratch: &mut Scratch,
-) -> SearchStats {
-    use ann_vectors::{CosineKernel, IpKernel, L2Kernel, Metric};
-    match metric {
-        Metric::L2 => beam_search::<L2Kernel, G>(store, graph, entries, query, l, scratch),
-        Metric::Ip => beam_search::<IpKernel, G>(store, graph, entries, query, l, scratch),
-        Metric::Cosine => beam_search::<CosineKernel, G>(store, graph, entries, query, l, scratch),
-    }
+    let sink = |_: &mut Pool, d, v| visited_log.push((d, v));
+    with_kernel!(metric, |kernel| {
+        traverse(graph, &Exact { store, query, kernel }, entries, l, scratch, sink, NoGate)
+    })
 }
 
 /// Beam search over **SQ8 codes** with an exact f32 re-rank of the final
 /// pool — the quantized fast path.
 ///
-/// The traversal is identical to [`beam_search`] except every candidate
-/// distance is the fused asymmetric u8×f32 kernel over `sq8` (4x less memory
-/// traffic per expansion). Quantized distances are accurate enough to steer
-/// the frontier but not to report, so after the traversal the whole pool
-/// (up to `l` candidates) is re-evaluated with exact f32 distances from
-/// `store`, re-sorted by `(distance, id)`, and truncated to `k`. Both the
-/// quantized traversal evaluations and the exact re-rank evaluations count
-/// toward `ndc`.
+/// Quantized distances are accurate enough to steer the frontier but not to
+/// report, so after the traversal the whole pool (up to `l` candidates) is
+/// re-evaluated with exact f32 distances from `store`, re-sorted by
+/// `(distance, id)`, and truncated to `k`. Both the quantized traversal
+/// evaluations and the exact re-rank evaluations count toward `ndc`.
 ///
 /// Quantized and exact distances rank ties and near-ties differently, so the
 /// *candidate set* may differ slightly from the full-precision path — the
@@ -374,7 +299,7 @@ pub fn beam_search_dyn<G: GraphView>(
 /// at 0.01 recall@10 per metric.
 #[allow(clippy::too_many_arguments)]
 pub fn beam_search_sq8_rerank<G: GraphView>(
-    metric: ann_vectors::Metric,
+    metric: Metric,
     store: &VecStore,
     sq8: &Sq8Store,
     graph: &G,
@@ -384,123 +309,64 @@ pub fn beam_search_sq8_rerank<G: GraphView>(
     l: usize,
     scratch: &mut Scratch,
 ) -> QueryResult {
-    debug_assert!(l > 0, "beam width must be positive");
     let l = l.max(k).max(1);
-    let mut stats = SearchStats::default();
-    let sq = Sq8Query::new(metric, query);
-    scratch.pool.reset(l);
-    scratch.visited.resize(graph.num_nodes());
-    scratch.visited.clear();
-
-    for &e in entries {
-        if scratch.visited.insert(e) {
-            let d = sq8.dist_to(metric, &sq, e);
-            stats.ndc += 1;
-            scratch.pool.insert(d, e);
-        }
-    }
-
-    let mut cursor = 0usize;
-    while let Some(pos) = scratch.pool.next_unexpanded(cursor) {
-        let cand = scratch.pool.expand(pos);
-        stats.hops += 1;
-        let mut best_insert = usize::MAX;
-        let neighbors = graph.neighbors(cand.id);
-        if let Some(&first) = neighbors.first() {
-            sq8.prefetch(first);
-        }
-        for (j, &v) in neighbors.iter().enumerate() {
-            if let Some(&next) = neighbors.get(j + 1) {
-                sq8.prefetch(next);
-            }
-            if !scratch.visited.insert(v) {
-                continue;
-            }
-            let d = sq8.dist_to(metric, &sq, v);
-            stats.ndc += 1;
-            if d >= scratch.pool.admission_bound() {
-                continue;
-            }
-            if let Some(p) = scratch.pool.insert(d, v) {
-                best_insert = best_insert.min(p);
-            }
-        }
-        cursor = if best_insert <= pos { best_insert } else { pos + 1 };
-    }
+    let source = Sq8Codes { metric, sq8, query: Sq8Query::new(metric, query) };
+    let mut stats = traverse(graph, &source, entries, l, scratch, |_, _, _| {}, NoGate);
 
     // Exact re-rank: full-precision distances over the final pool, resorted
     // by (distance, id) so tie order matches the full-precision path.
-    let (pool_ids, _) = scratch.pool.top_k(l);
-    let mut reranked: Vec<(f32, u32)> = pool_ids
-        .into_iter()
-        .map(|id| {
-            stats.ndc += 1;
-            (store.dist_to(metric, query, id), id)
-        })
+    let mut reranked: Vec<(f32, u32)> = scratch
+        .pool
+        .as_slice()
+        .iter()
+        .map(|c| (store.dist_to(metric, query, c.id), c.id))
         .collect();
+    stats.ndc += reranked.len() as u64;
     reranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     reranked.truncate(k);
-    QueryResult {
-        ids: reranked.iter().map(|e| e.1).collect(),
-        dists: reranked.iter().map(|e| e.0).collect(),
-        stats,
-    }
+    let (dists, ids) = reranked.into_iter().unzip();
+    QueryResult { ids, dists, stats }
 }
 
-/// Runtime-metric wrapper over [`greedy_descent`].
+/// Pure greedy descent (beam width 1) under a runtime metric: repeatedly
+/// move to the neighbor closest to the query; stop at a local minimum.
+/// Returns `(node, dist)` of the minimum. This is the paper's "phase 1"
+/// primitive and the routing step of HNSW's upper layers.
 pub fn greedy_descent_dyn<G: GraphView>(
-    metric: ann_vectors::Metric,
+    metric: Metric,
     store: &VecStore,
     graph: &G,
     entry: u32,
     query: &[f32],
     stats: &mut SearchStats,
 ) -> (u32, f32) {
-    use ann_vectors::{CosineKernel, IpKernel, L2Kernel, Metric};
-    match metric {
-        Metric::L2 => greedy_descent::<L2Kernel, G>(store, graph, entry, query, stats),
-        Metric::Ip => greedy_descent::<IpKernel, G>(store, graph, entry, query, stats),
-        Metric::Cosine => greedy_descent::<CosineKernel, G>(store, graph, entry, query, stats),
-    }
-}
-
-/// Pure greedy descent (beam width 1): repeatedly move to the neighbor
-/// closest to the query; stop at a local minimum. Returns `(node, dist)` of
-/// the minimum. This is the paper's "phase 1" primitive and the routing step
-/// of HNSW's upper layers.
-pub fn greedy_descent<K: MetricKernel, G: GraphView>(
-    store: &VecStore,
-    graph: &G,
-    entry: u32,
-    query: &[f32],
-    stats: &mut SearchStats,
-) -> (u32, f32) {
-    let mut cur = entry;
-    let mut cur_dist = K::eval(query, store.get(cur));
-    stats.ndc += 1;
-    loop {
-        let mut improved = false;
-        for &v in graph.neighbors(cur) {
-            let d = K::eval(query, store.get(v));
-            stats.ndc += 1;
-            if d < cur_dist {
-                cur = v;
-                cur_dist = d;
-                improved = true;
+    with_kernel!(metric, |kernel| {
+        let source = Exact { store, query, kernel };
+        let mut cur = entry;
+        let mut cur_dist = source.dist(cur);
+        stats.ndc += 1;
+        loop {
+            let from = cur;
+            for &v in graph.neighbors(from) {
+                let d = source.dist(v);
+                stats.ndc += 1;
+                if d < cur_dist {
+                    (cur, cur_dist) = (v, d);
+                }
             }
+            if cur == from {
+                return (cur, cur_dist);
+            }
+            stats.hops += 1;
         }
-        if !improved {
-            return (cur, cur_dist);
-        }
-        stats.hops += 1;
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adjacency::VarGraph;
-    use ann_vectors::L2Kernel;
+    use crate::filter::{widened_beam, FnFilter, SearchFilter};
 
     /// A 1-d line of points 0..n at coordinates 0..n, chained both ways.
     fn line(n: usize) -> (VecStore, VarGraph) {
@@ -522,7 +388,7 @@ mod tests {
     fn beam_search_walks_the_line() {
         let (store, g) = line(50);
         let mut scratch = Scratch::new(50);
-        let stats = beam_search::<L2Kernel, _>(&store, &g, &[0], &[42.2], 4, &mut scratch);
+        let stats = beam_search_dyn(Metric::L2, &store, &g, &[0], &[42.2], 4, &mut scratch);
         let (ids, dists) = scratch.pool.top_k(1);
         assert_eq!(ids, vec![42]);
         assert!((dists[0] - 0.04).abs() < 1e-4);
@@ -534,7 +400,7 @@ mod tests {
     fn beam_top_k_is_sorted_and_correct() {
         let (store, g) = line(30);
         let mut scratch = Scratch::new(30);
-        beam_search::<L2Kernel, _>(&store, &g, &[0], &[10.0], 8, &mut scratch);
+        beam_search_dyn(Metric::L2, &store, &g, &[0], &[10.0], 8, &mut scratch);
         let (ids, dists) = scratch.pool.top_k(5);
         assert_eq!(ids[0], 10);
         // 9/11, 8/12 ... all at the right distances, sorted ascending.
@@ -548,7 +414,7 @@ mod tests {
     fn multiple_entries_dedup() {
         let (store, g) = line(10);
         let mut scratch = Scratch::new(10);
-        let stats = beam_search::<L2Kernel, _>(&store, &g, &[3, 3, 5], &[4.0], 4, &mut scratch);
+        let stats = beam_search_dyn(Metric::L2, &store, &g, &[3, 3, 5], &[4.0], 4, &mut scratch);
         let (ids, _) = scratch.pool.top_k(1);
         assert_eq!(ids, vec![4]);
         // Entry 3 evaluated once, not twice.
@@ -559,7 +425,7 @@ mod tests {
     fn greedy_descent_reaches_global_min_on_line() {
         let (store, g) = line(100);
         let mut stats = SearchStats::default();
-        let (node, dist) = greedy_descent::<L2Kernel, _>(&store, &g, 0, &[77.3], &mut stats);
+        let (node, dist) = greedy_descent_dyn(Metric::L2, &store, &g, 0, &[77.3], &mut stats);
         assert_eq!(node, 77);
         assert!((dist - 0.09).abs() < 1e-3);
         assert_eq!(stats.hops, 77);
@@ -575,7 +441,7 @@ mod tests {
         g.add_edge(2, 3);
         g.add_edge(3, 2);
         let mut stats = SearchStats::default();
-        let (node, _) = greedy_descent::<L2Kernel, _>(&store, &g, 0, &[100.0], &mut stats);
+        let (node, _) = greedy_descent_dyn(Metric::L2, &store, &g, 0, &[100.0], &mut stats);
         assert_eq!(node, 1, "stuck at the edge of the wrong cluster");
     }
 
@@ -588,7 +454,7 @@ mod tests {
         g.add_edge(2, 3);
         g.add_edge(3, 2);
         let mut scratch = Scratch::new(4);
-        beam_search::<L2Kernel, _>(&store, &g, &[0], &[6.0], 4, &mut scratch);
+        beam_search_dyn(Metric::L2, &store, &g, &[0], &[6.0], 4, &mut scratch);
         let (ids, _) = scratch.pool.top_k(1);
         assert_eq!(ids, vec![1], "cannot cross components");
     }
@@ -600,53 +466,34 @@ mod tests {
         assert_eq!(a, SearchStats { ndc: 8, hops: 3, skipped: 1 });
     }
 
-    #[test]
-    fn filtered_beam_matches_unfiltered_under_accept_all() {
-        use crate::filter::AcceptAll;
-        let (store, g) = line(60);
-        let mut plain = Scratch::new(60);
-        let mut filtered = Scratch::new(60);
-        for (query, l) in [(42.2f32, 4usize), (3.0, 8), (59.0, 2)] {
-            let s1 = beam_search::<L2Kernel, _>(&store, &g, &[0], &[query], l, &mut plain);
-            let s2 = beam_search_filtered::<L2Kernel, _, _>(
-                &store,
-                &g,
-                &[0],
-                &[query],
-                l,
-                l,
-                &AcceptAll,
-                &mut filtered,
-            );
-            assert_eq!(s1, s2, "AcceptAll traversal must cost exactly the same");
-            let (ids1, d1) = plain.pool.top_k(l);
-            let (ids2, d2) = filtered.results.top_k(l);
-            assert_eq!(ids1, ids2, "AcceptAll results must match the plain pool");
-            assert_eq!(
-                d1.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                d2.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            );
-        }
+    /// The filtered instantiation of [`traverse`], as `tau-mg` runs it:
+    /// every evaluated node the filter admits is offered to
+    /// `scratch.results` (capacity `l_result`).
+    fn filtered_beam(
+        (store, g): &(VecStore, VarGraph),
+        query: f32,
+        l_beam: usize,
+        l_result: usize,
+        filter: &impl SearchFilter,
+        scratch: &mut Scratch,
+    ) -> SearchStats {
+        scratch.results.reset(l_result);
+        let sink = |results: &mut Pool, d, v| {
+            if filter.admits(v) {
+                results.insert(d, v);
+            }
+        };
+        let source = Exact { store, query: &[query], kernel: ann_vectors::L2Kernel };
+        traverse(g, &source, &[0], l_beam, scratch, sink, NoGate)
     }
 
     #[test]
     fn filtered_beam_never_returns_non_matching_but_still_traverses_them() {
-        use crate::filter::FnFilter;
-        let (store, g) = line(50);
         let mut scratch = Scratch::new(50);
         // Only multiples of 5 are admissible; the line graph forces the
         // traversal *through* the rejected nodes to reach the target region.
         let filter = FnFilter::new(|id| id % 5 == 0, 0.2);
-        beam_search_filtered::<L2Kernel, _, _>(
-            &store,
-            &g,
-            &[0],
-            &[42.0],
-            20,
-            8,
-            &filter,
-            &mut scratch,
-        );
+        filtered_beam(&line(50), 42.0, 20, 8, &filter, &mut scratch);
         let (ids, dists) = scratch.results.top_k(3);
         assert_eq!(ids, vec![40, 45, 35], "nearest admissible nodes to 42.0");
         assert!(dists.windows(2).all(|w| w[0] <= w[1]));
@@ -657,8 +504,6 @@ mod tests {
 
     #[test]
     fn filtered_beam_widening_recovers_recall_under_selective_filter() {
-        use crate::filter::{widened_beam, FnFilter, SearchFilter};
-        let (store, g) = line(200);
         let mut scratch = Scratch::new(200);
         // 10% selectivity; unwidened beam 4 from node 0 toward 190 finds
         // few admissible nodes, the widened beam finds the true nearest.
@@ -666,16 +511,7 @@ mod tests {
         let l = 4;
         let lb = widened_beam(l, filter.selectivity(), 200);
         assert_eq!(lb, 32, "10% selectivity widens 4 -> 32 (within cap)");
-        beam_search_filtered::<L2Kernel, _, _>(
-            &store,
-            &g,
-            &[0],
-            &[190.2],
-            lb,
-            l,
-            &filter,
-            &mut scratch,
-        );
+        filtered_beam(&line(200), 190.2, lb, l, &filter, &mut scratch);
         let (ids, _) = scratch.results.top_k(1);
         assert_eq!(ids, vec![190]);
     }
@@ -684,9 +520,9 @@ mod tests {
     fn scratch_reuse_across_searches_is_clean() {
         let (store, g) = line(20);
         let mut scratch = Scratch::new(20);
-        beam_search::<L2Kernel, _>(&store, &g, &[0], &[19.0], 3, &mut scratch);
+        beam_search_dyn(Metric::L2, &store, &g, &[0], &[19.0], 3, &mut scratch);
         let (ids1, _) = scratch.pool.top_k(1);
-        beam_search::<L2Kernel, _>(&store, &g, &[0], &[0.0], 3, &mut scratch);
+        beam_search_dyn(Metric::L2, &store, &g, &[0], &[0.0], 3, &mut scratch);
         let (ids2, _) = scratch.pool.top_k(1);
         assert_eq!(ids1, vec![19]);
         assert_eq!(ids2, vec![0]);

@@ -3,8 +3,8 @@
 //! correctness against exhaustive search on arbitrary graphs.
 
 use ann_graph::serialize::{graph_from_bytes, graph_to_bytes};
-use ann_graph::{beam_search, FlatGraph, GraphView, Pool, Scratch, VarGraph, VisitedSet};
-use ann_vectors::{L2Kernel, VecStore};
+use ann_graph::{beam_search_dyn, FlatGraph, GraphView, Pool, Scratch, VarGraph, VisitedSet};
+use ann_vectors::{Metric, VecStore};
 use proptest::prelude::*;
 
 proptest! {
@@ -103,7 +103,7 @@ proptest! {
         let mut scratch = Scratch::new(n);
         for qi in 0..queries.len() as u32 {
             let q = queries.get(qi);
-            beam_search::<L2Kernel, _>(&store, &g, &[0], q, n, &mut scratch);
+            beam_search_dyn(Metric::L2, &store, &g, &[0], q, n, &mut scratch);
             let (ids, dists) = scratch.pool.top_k(n.min(5));
             // Oracle: full sort.
             let mut oracle: Vec<(f32, u32)> = (0..n as u32)
@@ -129,11 +129,11 @@ proptest! {
         let q1 = ann_vectors::synthetic::uniform(4, 1, seed ^ 3);
         let q2 = ann_vectors::synthetic::uniform(4, 1, seed ^ 4);
         let mut fresh = Scratch::new(50);
-        beam_search::<L2Kernel, _>(&store, &g, &[0], q2.get(0), 8, &mut fresh);
+        beam_search_dyn(Metric::L2, &store, &g, &[0], q2.get(0), 8, &mut fresh);
         let clean = fresh.pool.top_k(3);
         let mut dirty = Scratch::new(50);
-        beam_search::<L2Kernel, _>(&store, &g, &[0], q1.get(0), 8, &mut dirty);
-        beam_search::<L2Kernel, _>(&store, &g, &[0], q2.get(0), 8, &mut dirty);
+        beam_search_dyn(Metric::L2, &store, &g, &[0], q1.get(0), 8, &mut dirty);
+        beam_search_dyn(Metric::L2, &store, &g, &[0], q2.get(0), 8, &mut dirty);
         prop_assert_eq!(dirty.pool.top_k(3), clean);
     }
 }

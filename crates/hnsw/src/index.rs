@@ -2,6 +2,7 @@
 
 use crate::build::build_graph;
 use crate::params::HnswParams;
+use ann_graph::connectivity::repair_connectivity;
 use ann_graph::serialize::{graph_from_bytes, graph_to_bytes};
 use ann_graph::{
     beam_search_dyn, AnnIndex, FlatGraph, GraphStats, GraphView, QueryResult, Scratch, SearchStats,
@@ -66,6 +67,17 @@ impl Hnsw {
             }
         }
         let (entry, max_level) = *state.entry.read();
+        // Concurrent insertion promises only local link quality: a node's
+        // in-links can all be pruned away by neighbors shrinking their lists
+        // at the same time. A no-op on a connected layer.
+        repair_connectivity(
+            &mut var0,
+            &store,
+            metric,
+            entry,
+            params.ef_construction,
+            params.max_m0(),
+        );
         let layer0 = FlatGraph::freeze(&var0, Some(params.max_m0()));
         Ok(Hnsw { store, metric, layer0, upper, entry, max_level, params })
     }

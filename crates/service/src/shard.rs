@@ -299,59 +299,10 @@ impl Fanout {
     /// Fan `query` across every healthy snapshot with a per-shard beam of
     /// [`shard_beam`]`(l_total, healthy, k)` and merge the per-shard top-k
     /// into a global top-k. `snaps` is slot-aligned (`None` = degraded
-    /// shard, skipped). Per-shard search/NDC counters are recorded when
-    /// `metrics` is given.
-    pub fn search(
-        &mut self,
-        snaps: &[Option<Arc<Snapshot>>],
-        query: &[f32],
-        k: usize,
-        l_total: usize,
-        scratch: &mut Scratch,
-        metrics: Option<&Metrics>,
-    ) -> Hit {
-        let healthy = snaps.iter().filter(|s| s.is_some()).count();
-        if healthy == 0 {
-            return Hit { ids: Vec::new(), dists: Vec::new(), stats: SearchStats::default() };
-        }
-        self.ensure(snaps.len());
-        let per_l = shard_beam(l_total, healthy, k);
-        let mut stats = SearchStats::default();
-        for (s, snap) in snaps.iter().enumerate() {
-            self.ids[s].clear();
-            self.dists[s].clear();
-            let Some(snap) = snap else { continue };
-            let st =
-                snap.search_into(query, k, per_l, scratch, &mut self.ids[s], &mut self.dists[s]);
-            if let Some(m) = metrics {
-                if let Some(sm) = m.shard(s) {
-                    sm.searches.inc();
-                    sm.ndc.add(st.ndc);
-                }
-            }
-            stats.accumulate(st);
-        }
-        let mut out_ids = Vec::with_capacity(k);
-        let mut out_dists = Vec::with_capacity(k);
-        for c in &mut self.cursors {
-            *c = 0;
-        }
-        merge_into(
-            &self.ids[..snaps.len()],
-            &self.dists[..snaps.len()],
-            &mut self.cursors[..snaps.len()],
-            k,
-            &mut out_ids,
-            &mut out_dists,
-        );
-        Hit { ids: out_ids, dists: out_dists, stats }
-    }
-
-    /// [`Fanout::search`] through each shard's attribute filter: every
-    /// healthy shard runs filter-during-search against `expr` (see
-    /// [`Snapshot::search_filtered`]) and the per-shard matching top-k are
-    /// merged. `expr = None` is the pure deletion filter and takes exactly
-    /// the [`Fanout::search`] path per shard.
+    /// shard, skipped). Every healthy shard runs filter-during-search
+    /// against `expr` (see [`Snapshot::search_filtered`]); `expr = None` is
+    /// the pure deletion filter. Per-shard search/NDC counters are recorded
+    /// when `metrics` is given.
     #[allow(clippy::too_many_arguments)]
     pub fn search_filtered(
         &mut self,
@@ -1031,7 +982,15 @@ mod tests {
         let mut scratch = Scratch::new(400);
         let mut fanout = Fanout::new(3);
         for q in [0u32, 57, 233, 399] {
-            let hit = fanout.search(&snaps, base.get(q), 1, 96, &mut scratch, Some(&metrics));
+            let hit = fanout.search_filtered(
+                &snaps,
+                base.get(q),
+                1,
+                96,
+                None,
+                &mut scratch,
+                Some(&metrics),
+            );
             assert_eq!(hit.ids, vec![u64::from(q)]);
             assert_eq!(hit.dists[0], 0.0);
         }
@@ -1046,7 +1005,15 @@ mod tests {
         assert_eq!(writer.len(), 400);
 
         set.load_into(&mut snaps);
-        let hit = fanout.search(&snaps, base.get(100), 2, 96, &mut scratch, Some(&metrics));
+        let hit = fanout.search_filtered(
+            &snaps,
+            base.get(100),
+            2,
+            96,
+            None,
+            &mut scratch,
+            Some(&metrics),
+        );
         assert!(hit.ids.contains(&added), "replacement insert must be found: {:?}", hit.ids);
         assert!(!hit.ids.contains(&100), "deleted id must be gone: {:?}", hit.ids);
         // Only dirty shards republished; the set minimum reflects the

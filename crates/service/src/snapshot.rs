@@ -24,7 +24,7 @@
 //! stable **external ids** (`u64`, assigned at insert and never reused).
 //! All results leaving this crate are external ids.
 
-use ann_graph::{FnFilter, GraphView, Scratch, SearchStats};
+use ann_graph::{FnFilter, QueryResult, Scratch, SearchStats};
 use ann_vectors::error::{AnnError, Result};
 use tau_mg::{DynamicTauMng, TauIndex, TauMngParams, TauSearchOptions};
 
@@ -133,10 +133,7 @@ impl Snapshot {
 
     /// τ-monotonic search returning external ids.
     pub fn search(&self, query: &[f32], k: usize, l: usize, scratch: &mut Scratch) -> Hit {
-        let mut ids = Vec::new();
-        let mut dists = Vec::new();
-        let stats = self.search_into(query, k, l, scratch, &mut ids, &mut dists);
-        Hit { ids, dists, stats }
+        self.search_filtered(query, k, l, None, scratch)
     }
 
     /// Allocation-free variant of [`Snapshot::search`] for the sharded
@@ -151,39 +148,12 @@ impl Snapshot {
         ids: &mut Vec<u64>,
         dists: &mut Vec<f32>,
     ) -> SearchStats {
-        ids.clear();
-        dists.clear();
-        if self.tombstones.is_empty() {
-            // Fast path for freshly compacted snapshots: the unfiltered
-            // search, bit-identical to the pre-filter read path.
-            let r = self.index.search_opts(query, k, l, TauSearchOptions::default(), scratch);
-            ids.reserve(r.ids.len().min(k));
-            dists.reserve(r.dists.len().min(k));
-            for (&internal, &d) in r.ids.iter().zip(&r.dists) {
-                if ids.len() == k {
-                    break;
-                }
-                // An in-range id is an index invariant; if it ever breaks,
-                // drop the hit rather than panic under a reader.
-                debug_assert!((internal as usize) < self.external_ids.len());
-                if let Some(e) = self.external_id(internal) {
-                    ids.push(e);
-                    dists.push(d);
-                }
-            }
-            return r.stats;
-        }
-        // Tombstones present: route through the composable filter machinery.
-        // The deletion filter's selectivity is known exactly (live/total), so
-        // the beam widens by the *local* filtered fraction rather than the
-        // old additive global-tombstone-count slack — a shard with few
-        // deletes no longer pays for a sibling's debt.
-        self.filtered_into(query, k, l, None, scratch, ids, dists)
+        self.search_filtered_into(query, k, l, None, scratch, ids, dists)
     }
 
     /// Filtered τ-monotonic search: only points whose attribute record
     /// matches `expr` (and that are not tombstoned) can appear in the
-    /// result. `expr = None` degrades to [`Snapshot::search`].
+    /// result. `expr = None` is [`Snapshot::search`].
     ///
     /// Filter-during-search: the traversal still walks non-matching regions
     /// of the graph (they steer the beam), but non-matching points never
@@ -204,8 +174,8 @@ impl Snapshot {
         Hit { ids, dists, stats }
     }
 
-    /// Allocation-free variant of [`Snapshot::search_filtered`], mirroring
-    /// [`Snapshot::search_into`] for the sharded fan-out path.
+    /// Allocation-free variant of [`Snapshot::search_filtered`]: the one
+    /// read path every search above and the sharded fan-out go through.
     #[allow(clippy::too_many_arguments)]
     pub fn search_filtered_into(
         &self,
@@ -217,37 +187,55 @@ impl Snapshot {
         ids: &mut Vec<u64>,
         dists: &mut Vec<f32>,
     ) -> SearchStats {
-        match expr {
-            None => self.search_into(query, k, l, scratch, ids, dists),
-            Some(e) => {
-                ids.clear();
-                dists.clear();
-                self.filtered_into(query, k, l, Some(e), scratch, ids, dists)
+        ids.clear();
+        dists.clear();
+        let r = if expr.is_none() && self.tombstones.is_empty() {
+            // Fast arm for freshly compacted snapshots with nothing to
+            // filter: the unfiltered search, bit-identical to the
+            // pre-filter read path.
+            tau_mg::tau_search(&self.index, query, k, l, TauSearchOptions::default(), scratch)
+        } else if self.external_ids.is_empty() || k == 0 {
+            return SearchStats::default();
+        } else {
+            // Tombstones or an attribute filter: route through the
+            // composable filter machinery. The deletion filter's selectivity
+            // is known exactly (live/total), so the beam widens by the
+            // *local* filtered fraction — a shard with few deletes does not
+            // pay for a sibling's debt.
+            self.filtered(query, k, l, expr, scratch)
+        };
+        ids.reserve(r.ids.len().min(k));
+        dists.reserve(r.dists.len().min(k));
+        for (&internal, &d) in r.ids.iter().zip(&r.dists) {
+            if ids.len() == k {
+                break;
+            }
+            // An in-range id is an index invariant; if it ever breaks,
+            // drop the hit rather than panic under a reader.
+            debug_assert!((internal as usize) < self.external_ids.len());
+            if let Some(e) = self.external_id(internal) {
+                ids.push(e);
+                dists.push(d);
             }
         }
+        r.stats
     }
 
-    /// Shared core of the filtered read path. `expr = None` means "deletion
-    /// filter only" — that path carries a completeness backstop (re-run with
-    /// an exhaustive beam if the pool came back short while live points
-    /// remain), preserving the contract that tombstones alone never shorten
-    /// an answer. Attribute filters are approximate like any beam search and
-    /// get no backstop.
-    #[allow(clippy::too_many_arguments)]
-    fn filtered_into(
+    /// The filtered arm of the read path, in internal ids. `expr = None`
+    /// means "deletion filter only" — that path carries a completeness
+    /// backstop (re-run with an exhaustive beam if the pool came back short
+    /// while live points remain), preserving the contract that tombstones
+    /// alone never shorten an answer. Attribute filters are approximate
+    /// like any beam search and get no backstop.
+    fn filtered(
         &self,
         query: &[f32],
         k: usize,
         l: usize,
         expr: Option<&FilterExpr>,
         scratch: &mut Scratch,
-        ids: &mut Vec<u64>,
-        dists: &mut Vec<f32>,
-    ) -> SearchStats {
+    ) -> QueryResult {
         let n = self.external_ids.len();
-        if n == 0 || k == 0 {
-            return SearchStats::default();
-        }
         let selectivity = match expr {
             None => self.live_len() as f64 / n as f64,
             Some(e) => self.estimate_selectivity(e),
@@ -266,33 +254,20 @@ impl Snapshot {
             // infinite admission bound, so nothing is pruned or QEO-skipped
             // and every reachable live point is evaluated. The publish-path
             // audit guarantees reachability, so this cannot come back short.
-            let r2 = tau_mg::tau_search_filtered_with_beam(
+            let first_pass = r.stats;
+            r = tau_mg::tau_search_with_beam(
                 &self.index,
                 query,
                 k,
                 l_req,
                 n,
                 opts,
-                &filter,
+                Some(&filter),
                 scratch,
             );
-            let first_pass = r.stats;
-            r = r2;
             r.stats.accumulate(first_pass);
         }
-        ids.reserve(r.ids.len().min(k));
-        dists.reserve(r.dists.len().min(k));
-        for (&internal, &d) in r.ids.iter().zip(&r.dists) {
-            if ids.len() == k {
-                break;
-            }
-            debug_assert!((internal as usize) < self.external_ids.len());
-            if let Some(e) = self.external_id(internal) {
-                ids.push(e);
-                dists.push(d);
-            }
-        }
-        r.stats
+        r
     }
 
     /// Whether internal slot `internal` may appear in a filtered result:
@@ -395,10 +370,6 @@ pub struct IndexWriter {
     generation: u64,
     cell: Arc<SnapshotCell>,
     metrics: Arc<Metrics>,
-    /// Degree bound every published graph must respect: dynamic updates
-    /// never push a touched list past `params.r`, and untouched lists keep
-    /// the attached index's original degrees.
-    audit_cap: usize,
     /// Durable store each publication is persisted to, when configured.
     store: Option<Arc<SnapshotStore>>,
     /// Last persistence failure (rendered), cleared by the next success.
@@ -520,7 +491,6 @@ impl IndexWriter {
     ) -> (IndexWriter, Arc<SnapshotCell>) {
         let dynamic = DynamicTauMng::from_index_with_params(&index, params);
         let params = dynamic.params();
-        let audit_cap = index.graph().max_degree().max(params.r);
         let base_len = external_ids.len();
         let attrs: Arc<HashMap<u64, AttrRecord>> = Arc::new(HashMap::new());
         let cell = Arc::new(SnapshotCell::new(Arc::new(Snapshot {
@@ -552,7 +522,6 @@ impl IndexWriter {
             generation: 0,
             cell: Arc::clone(&cell),
             metrics,
-            audit_cap,
             store,
             last_persist_error: None,
             shard: 0,
@@ -631,7 +600,6 @@ impl IndexWriter {
         let attrs = Arc::new(attrs);
         let dynamic = DynamicTauMng::from_index_with_params(&index, params);
         let params = dynamic.params();
-        let audit_cap = index.graph().max_degree().max(params.r);
         let int_of_external =
             // cast: slot index < n <= u32::MAX, guaranteed by the envelope decoder.
             external_ids.iter().enumerate().map(|(i, &e)| (e, i as u32)).collect();
@@ -656,7 +624,6 @@ impl IndexWriter {
             generation,
             cell: Arc::clone(&cell),
             metrics,
-            audit_cap,
             store,
             last_persist_error: None,
             shard: 0,
@@ -1279,8 +1246,12 @@ impl IndexWriter {
     #[cfg(debug_assertions)]
     fn debug_audit_publication(&self, index: &TauIndex, external_ids: &[u64]) {
         use ann_audit::{audit_external_ids, audit_tau_index, AuditOptions};
-        let mut violations =
-            audit_tau_index(index, &AuditOptions::publish_gate(Some(self.audit_cap)));
+        use ann_graph::GraphView;
+        // Degree bound every published graph must respect: dynamic updates
+        // never push a touched list past `params.r`, and untouched lists
+        // keep the degree they had in the snapshot being replaced.
+        let cap = self.cell.load().index().graph().max_degree().max(self.params.r);
+        let mut violations = audit_tau_index(index, &AuditOptions::publish_gate(Some(cap)));
         violations
             .extend(audit_external_ids(external_ids, |e| !self.int_of_external.contains_key(&e)));
         let report: Vec<String> = violations.iter().map(ToString::to_string).collect();

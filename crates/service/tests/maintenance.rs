@@ -210,7 +210,7 @@ fn churn_soak_bounds_debt_and_matches_fresh_rebuild_recall() {
         set.load_into(&mut snaps);
         for _ in 0..4 {
             let q = churn.get((xorshift(&mut rng) % 200) as u32).to_vec();
-            let hit = fanout.search(&snaps, &q, 10, 64, &mut scratch, None);
+            let hit = fanout.search_filtered(&snaps, &q, 10, 64, None, &mut scratch, None);
             for id in &hit.ids {
                 assert!(
                     !deleted.contains(id),
@@ -262,7 +262,7 @@ fn churn_soak_bounds_debt_and_matches_fresh_rebuild_recall() {
     let mut soaked_recall = 0.0;
     for qi in 0..32 {
         let q = queries.get(qi).to_vec();
-        let hit = fanout.search(&snaps, &q, 10, 64, &mut scratch, None);
+        let hit = fanout.search_filtered(&snaps, &q, 10, 64, None, &mut scratch, None);
         for id in &hit.ids {
             assert!(live.contains_key(id), "non-live id {id} in the final answer");
         }
@@ -279,7 +279,7 @@ fn churn_soak_bounds_debt_and_matches_fresh_rebuild_recall() {
     let mut fresh_recall = 0.0;
     for qi in 0..32 {
         let q = queries.get(qi).to_vec();
-        let hit = fresh_fanout.search(&fresh_snaps, &q, 10, 64, &mut scratch, None);
+        let hit = fresh_fanout.search_filtered(&fresh_snaps, &q, 10, 64, None, &mut scratch, None);
         // Fresh externals are dense 0..n in `live_vec` order.
         let ids: Vec<u64> = hit.ids.iter().map(|&i| live_vec[i as usize].0).collect();
         fresh_recall += recall_at(&live_vec, &q, &ids, 10);
@@ -395,7 +395,8 @@ fn mid_compaction_crash_recovers_audited_snapshots_with_all_acks() {
         let mut scratch = ann_graph::Scratch::new(rec.set.total_points() + 8);
         let probe = uniform(DIM, 4, 31);
         for qi in 0..4 {
-            let hit = fanout.search(&snaps, probe.get(qi), 10, 64, &mut scratch, None);
+            let hit =
+                fanout.search_filtered(&snaps, probe.get(qi), 10, 64, None, &mut scratch, None);
             for id in &hit.ids {
                 assert!(!deleted.contains(id), "{tag}: deleted id {id} served after recovery");
             }
@@ -526,7 +527,7 @@ fn tombstone_filter_holds_at_every_durability_mode_and_shard_count() {
             let mut twin_checks = 0usize;
             for &d in &deleted {
                 let q = &rows[d as usize];
-                let hit = fanout.search(&snaps, q, 10, 96, &mut scratch, None);
+                let hit = fanout.search_filtered(&snaps, q, 10, 96, None, &mut scratch, None);
                 assert_eq!(hit.ids.len(), 10, "{tag}: short answer for query {d}");
                 let mut seen = std::collections::HashSet::new();
                 for id in &hit.ids {
@@ -566,7 +567,15 @@ fn tombstone_filter_holds_at_every_durability_mode_and_shard_count() {
             let mut snaps = Vec::new();
             rec.set.load_into(&mut snaps);
             for &d in deleted.iter().take(8) {
-                let hit = fanout.search(&snaps, &rows[d as usize], 10, 96, &mut scratch, None);
+                let hit = fanout.search_filtered(
+                    &snaps,
+                    &rows[d as usize],
+                    10,
+                    96,
+                    None,
+                    &mut scratch,
+                    None,
+                );
                 for id in &hit.ids {
                     assert!(!deleted.contains(id), "{tag}: {id} resurrected after recovery");
                 }

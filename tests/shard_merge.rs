@@ -147,7 +147,7 @@ fn check_tombstone_filter(n: usize, levels: u32, seed: u64, shards: usize, k: us
         deleted.iter().take(4).map(|&d| rows[d as usize].clone()).collect();
     queries.push((0..6).map(|_| (next() % u64::from(levels)) as f32 + 0.25).collect());
     for q in &queries {
-        let hit = fanout.search(&snaps, q, k, 96, &mut scratch, None);
+        let hit = fanout.search_filtered(&snaps, q, k, 96, None, &mut scratch, None);
         assert_eq!(hit.ids.len(), k.min(live), "short merged answer despite {live} live points");
         let mut seen = std::collections::HashSet::new();
         for id in &hit.ids {
@@ -190,8 +190,8 @@ fn check_attribute_filter(
 ) {
     use ann_suite::ann_graph::Scratch;
     use ann_suite::ann_service::{
-        split_index, AttrValue, Fanout, FilterExpr, Metrics, RealFs, ShardSetWriter,
-        SnapshotStoreConfig,
+        merge_topk, shard_beam, split_index, AttrValue, Fanout, FilterExpr, Metrics, RealFs,
+        ShardSetWriter, SnapshotStoreConfig,
     };
     use ann_suite::ann_vectors::VecStore;
     use ann_suite::tau_mg::{build_tau_mng, TauMngParams};
@@ -272,11 +272,18 @@ fn check_attribute_filter(
         }
         assert!(hit.dists.windows(2).all(|w| w[0] <= w[1]), "filtered distances out of order");
 
-        // No filter: bitwise identical to the plain search path.
-        let plain = fanout.search(&snaps, q, k, 96, &mut scratch, None);
+        // No filter: bitwise identical to the plain search path, shard by
+        // shard and merged.
+        let per_l = shard_beam(96, shards, k);
+        let (shard_ids, shard_dists): (Vec<_>, Vec<_>) = snaps
+            .iter()
+            .map(|snap| snap.as_ref().unwrap().search(q, k, per_l, &mut scratch))
+            .map(|hit| (hit.ids, hit.dists))
+            .unzip();
+        let plain = merge_topk(&shard_ids, &shard_dists, k);
         let unfiltered = fanout.search_filtered(&snaps, q, k, 96, None, &mut scratch, None);
-        assert_eq!(unfiltered.ids, plain.ids, "no-filter path diverged from plain search");
-        assert_eq!(unfiltered.dists, plain.dists);
+        assert_eq!(unfiltered.ids, plain.0, "no-filter path diverged from plain search");
+        assert_eq!(unfiltered.dists, plain.1);
     }
     drop(writer);
     let _ = std::fs::remove_dir_all(&root);

@@ -18,8 +18,8 @@ use ann_suite::ann_vectors::kernel::{set_kernel_path, KernelPath};
 use ann_suite::ann_vectors::synthetic::{mean_nn_distance, Recipe};
 use ann_suite::ann_vectors::{Metric, Sq8Store, VecStore};
 use ann_suite::tau_mg::{
-    build_tau_mng, tau_search, tau_search_filtered, tau_search_filtered_with_beam, TauIndex,
-    TauMngParams, TauSearchOptions,
+    build_tau_mng, tau_search, tau_search_filtered, tau_search_with_beam, TauIndex, TauMngParams,
+    TauSearchOptions,
 };
 use std::sync::{Arc, Once, OnceLock};
 
@@ -318,7 +318,7 @@ fn tau_search_filtered_ten_percent_and_exhaustive_backstop() {
         // graph never fills, so nothing is pruned or QEO-skipped.
         let n = c.base.len();
         let exhaustive = over_queries(c, |q, scratch, fp| {
-            let r = tau_search_filtered_with_beam(&c.index, q, K, L, n, opts, &filter, scratch);
+            let r = tau_search_with_beam(&c.index, q, K, L, n, opts, Some(&filter), scratch);
             assert_eq!(r.stats.skipped, 0, "{name}: an unfilled beam has no QEO bound");
             fp.result(&r);
         });
