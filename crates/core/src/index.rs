@@ -6,16 +6,15 @@ use crate::geometry::EuclideanView;
 use crate::search::{tau_search, TauSearchOptions};
 use ann_graph::serialize::{graph_from_bytes, graph_to_bytes};
 use ann_graph::{AnnIndex, FlatGraph, GraphStats, GraphView, QueryResult, Scratch};
+use ann_vectors::codec::{self, Format};
 use ann_vectors::error::{AnnError, Result};
-use ann_vectors::io::fnv1a;
 use ann_vectors::metric::Metric;
 use ann_vectors::parallel::{num_threads, parallel_for};
 use ann_vectors::VecStore;
-use bytes::{Buf, BufMut, BytesMut};
 use std::sync::Arc;
 
-const TAU_MAGIC: u32 = 0x544D_4731; // "TMG1"
-const TAU_VERSION: u16 = 1;
+const TAU: Format =
+    Format { name: "tau index", magic: 0x544D_4731, version: 1, oldest: 1, min_len: 48 };
 
 /// A frozen τ-monotonic graph index.
 pub struct TauIndex {
@@ -41,8 +40,9 @@ pub(crate) fn compute_edge_lengths(store: &VecStore, graph: &FlatGraph) -> Vec<f
     let lens: Vec<std::sync::atomic::AtomicU32> =
         (0..n * cap).map(|_| std::sync::atomic::AtomicU32::new(0)).collect();
     parallel_for(n, num_threads(), |u| {
-        let vu = store.get(u as u32);
-        for (slot, &v) in graph.neighbors(u as u32).iter().enumerate() {
+        let id = u as u32; // cast: u < n, and node ids are u32 by construction
+        let vu = store.get(id);
+        for (slot, &v) in graph.neighbors(id).iter().enumerate() {
             let d = ann_vectors::metric::l2_sq(vu, store.get(v)).sqrt();
             lens[u * cap + slot].store(d.to_bits(), std::sync::atomic::Ordering::Relaxed);
         }
@@ -176,27 +176,18 @@ impl TauIndex {
         tau_search(self, query, k, l, opts, scratch)
     }
 
-    /// Serialize the index structure (not the vectors).
+    /// Serialize the index structure (not the vectors) as one `TMG1`
+    /// frame: header | metric initial (u8) | algo (u8: 0 = τ-MG) | τ (f32)
+    /// | entry (u32) | n (u64) | dim (u64) | `GRF1` graph (u64-length
+    /// prefixed) | edge-length count (u64) | edge lengths (f32).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let graph_bytes = graph_to_bytes(&self.graph);
-        let mut buf = BytesMut::with_capacity(64 + graph_bytes.len() + self.edge_len_eu.len() * 4);
-        buf.put_u32_le(TAU_MAGIC);
-        buf.put_u16_le(TAU_VERSION);
-        buf.put_u8(self.metric.name().as_bytes()[0]);
-        buf.put_u8(if self.algo == "tau-MG" { 0 } else { 1 });
-        buf.put_f32_le(self.tau);
-        buf.put_u32_le(self.entry);
-        buf.put_u64_le(self.store.len() as u64);
-        buf.put_u64_le(self.store.dim() as u64);
-        buf.put_u64_le(graph_bytes.len() as u64);
-        buf.extend_from_slice(&graph_bytes);
-        buf.put_u64_le(self.edge_len_eu.len() as u64);
-        for &x in &self.edge_len_eu {
-            buf.put_f32_le(x);
-        }
-        let checksum = fnv1a(&buf);
-        buf.put_u64_le(checksum);
-        buf.to_vec()
+        let graph = graph_to_bytes(&self.graph);
+        let edges = &self.edge_len_eu;
+        let mut w = TAU.writer(42 + graph.len() + edges.len() * 4);
+        w.u8(self.metric.name().as_bytes()[0]).u8(u8::from(self.algo != "tau-MG"));
+        w.f32(self.tau).u32(self.entry);
+        w.u64(self.store.len() as u64).u64(self.store.dim() as u64);
+        w.bytes_u64(&graph).u64(edges.len() as u64).f32s(edges).seal()
     }
 
     /// Reconstruct from [`TauIndex::to_bytes`] output plus the matching
@@ -205,62 +196,37 @@ impl TauIndex {
     /// # Errors
     /// `CorruptIndex` on any validation failure.
     pub fn from_bytes(buf: &[u8], store: Arc<VecStore>, metric: Metric) -> Result<Self> {
-        if buf.len() < 48 {
-            return Err(AnnError::CorruptIndex("tau index buffer too short".into()));
+        let corrupt = |detail: &str| AnnError::CorruptIndex(format!("tau index {detail}"));
+        let (_, mut r) = codec::open(buf, &TAU)?;
+        if r.u8()? != metric.name().as_bytes()[0] {
+            return Err(corrupt("metric mismatch"));
         }
-        let (body, tail) = buf.split_at(buf.len() - 8);
-        let expect = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if fnv1a(body) != expect {
-            return Err(AnnError::CorruptIndex("tau index checksum mismatch".into()));
-        }
-        let mut b = body;
-        if b.get_u32_le() != TAU_MAGIC {
-            return Err(AnnError::CorruptIndex("tau index bad magic".into()));
-        }
-        if b.get_u16_le() != TAU_VERSION {
-            return Err(AnnError::CorruptIndex("tau index version unsupported".into()));
-        }
-        let metric_byte = b.get_u8();
-        if metric_byte != metric.name().as_bytes()[0] {
-            return Err(AnnError::CorruptIndex("tau index metric mismatch".into()));
-        }
-        let algo = if b.get_u8() == 0 { "tau-MG" } else { "tau-MNG" };
-        let tau = b.get_f32_le();
+        let algo = if r.u8()? == 0 { "tau-MG" } else { "tau-MNG" };
+        let tau = r.f32()?;
         if !tau.is_finite() || tau < 0.0 {
-            return Err(AnnError::CorruptIndex("tau index invalid tau".into()));
+            return Err(corrupt("invalid tau"));
         }
-        let entry = b.get_u32_le();
-        let n = b.get_u64_le() as usize;
-        let dim = b.get_u64_le() as usize;
+        let entry = r.u32()?;
+        let (n, dim) = (r.count()?, r.count()?);
         if n != store.len() || dim != store.dim() {
-            return Err(AnnError::CorruptIndex(format!(
-                "tau index built for {n} x {dim}, store is {} x {}",
-                store.len(),
-                store.dim()
-            )));
+            let (sn, sd) = (store.len(), store.dim());
+            return Err(corrupt(&format!("built for {n} x {dim}, store is {sn} x {sd}")));
         }
-        let glen = b.get_u64_le() as usize;
-        if b.remaining() < glen + 8 {
-            return Err(AnnError::CorruptIndex("tau index graph section truncated".into()));
-        }
-        let graph = graph_from_bytes(&b[..glen])?;
-        b.advance(glen);
+        let graph = graph_from_bytes(r.bytes_u64()?)?;
         if graph.num_nodes() != n {
-            return Err(AnnError::CorruptIndex("tau index graph node count mismatch".into()));
+            return Err(corrupt("graph node count mismatch"));
         }
         if entry as usize >= n {
-            return Err(AnnError::CorruptIndex("tau index entry out of range".into()));
+            return Err(corrupt("entry out of range"));
         }
-        let elen = b.get_u64_le() as usize;
-        if elen != n * graph.capacity() || b.remaining() != elen * 4 {
-            return Err(AnnError::CorruptIndex("tau index edge-length section mismatch".into()));
+        let elen = r.count()?;
+        if elen != n * graph.capacity() {
+            return Err(corrupt("edge-length section mismatch"));
         }
-        let mut edge_len_eu = Vec::with_capacity(elen);
-        for _ in 0..elen {
-            edge_len_eu.push(b.get_f32_le());
-        }
+        let edge_len_eu = r.f32s(elen)?;
+        r.finish()?;
         let view = EuclideanView::for_metric(metric)
-            .map_err(|_| AnnError::CorruptIndex("tau index metric is not a metric space".into()))?;
+            .map_err(|_| corrupt("metric is not a metric space"))?;
         Ok(TauIndex { store, metric, view, graph, edge_len_eu, entry, tau, algo, sq8: None })
     }
 }

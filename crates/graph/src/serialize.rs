@@ -1,95 +1,45 @@
 //! Binary persistence for frozen graphs.
 //!
-//! Format (`GRF1`): little-endian, header + bulk arrays + FNV-1a checksum
-//! trailer. Index crates embed this inside their own envelopes (which add
-//! entry points, metric, τ, edge lengths, …).
+//! Format (`GRF1`, one [`ann_vectors::codec`] frame): header | reserved
+//! (u16) | cap (u32) | n (u64) | `n` row lengths (u32) | `n × cap`
+//! neighbor slots (u32). Index crates embed this inside their own envelopes
+//! (which add entry points, metric, τ, edge lengths, …).
 
 use crate::adjacency::FlatGraph;
+use ann_vectors::codec::{self, Format};
 use ann_vectors::error::{AnnError, IntegrityCheck, Result};
-use ann_vectors::io::{fnv1a, write_atomic};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use ann_vectors::io::write_atomic;
 
-const GRAPH_MAGIC: u32 = 0x4752_4631; // "GRF1"
-const GRAPH_VERSION: u16 = 1;
+const GRAPH: Format =
+    Format { name: "graph", magic: 0x4752_4631, version: 1, oldest: 1, min_len: 28 };
 
 /// Serialize a frozen graph.
-pub fn graph_to_bytes(g: &FlatGraph) -> Bytes {
+pub fn graph_to_bytes(g: &FlatGraph) -> Vec<u8> {
     let (cap, lens, data) = g.raw_parts();
-    let mut buf = BytesMut::with_capacity(32 + lens.len() * 4 + data.len() * 4);
-    buf.put_u32_le(GRAPH_MAGIC);
-    buf.put_u16_le(GRAPH_VERSION);
-    buf.put_u16_le(0); // reserved
-    buf.put_u32_le(cap);
-    buf.put_u64_le(lens.len() as u64);
-    for &l in lens {
-        buf.put_u32_le(l);
-    }
-    for &d in data {
-        buf.put_u32_le(d);
-    }
-    let checksum = fnv1a(&buf);
-    buf.put_u64_le(checksum);
-    buf.freeze()
+    let mut w = GRAPH.writer(14 + lens.len() * 4 + data.len() * 4);
+    w.u16(0).u32(cap).u64(lens.len() as u64).u32s(lens).u32s(data).seal()
 }
 
-/// Deserialize a graph written by [`graph_to_bytes`], validating magic,
-/// version, checksum, per-node lengths and neighbor-id ranges.
-pub fn graph_from_bytes(buf: &[u8]) -> Result<FlatGraph> {
-    graph_checked(buf).map_err(|(_, detail)| AnnError::CorruptIndex(detail))
-}
-
-/// The graph parser with the failing [`IntegrityCheck`] attached, so
-/// file-level loaders can report which validation step rejected the data.
-fn graph_checked(buf: &[u8]) -> std::result::Result<FlatGraph, (IntegrityCheck, String)> {
-    if buf.len() < 20 + 8 {
-        return Err((IntegrityCheck::Truncated, "graph buffer too short".into()));
+/// Deserialize a graph written by [`graph_to_bytes`], validating checksum,
+/// magic, version, per-node lengths and neighbor-id ranges.
+///
+/// # Errors
+/// The failing [`IntegrityCheck`] with a detail.
+pub fn graph_from_bytes(buf: &[u8]) -> codec::Result<FlatGraph> {
+    let (_, mut r) = codec::open(buf, &GRAPH)?;
+    r.u16()?; // reserved
+    let cap = r.u32()?;
+    let n = r.count()?;
+    let lens = r.u32s(n)?;
+    let data = r.u32s(n.saturating_mul(cap as usize))?;
+    r.finish()?;
+    if let Some(l) = lens.iter().find(|&&l| l > cap) {
+        return Err((IntegrityCheck::Bounds, format!("node length {l} exceeds cap {cap}")));
     }
-    let (body, tail) = buf.split_at(buf.len() - 8);
-    let expect = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    if fnv1a(body) != expect {
-        return Err((IntegrityCheck::Checksum, "graph checksum mismatch".into()));
-    }
-    let mut b = body;
-    if b.get_u32_le() != GRAPH_MAGIC {
-        return Err((IntegrityCheck::Magic, "graph bad magic".into()));
-    }
-    let version = b.get_u16_le();
-    if version != GRAPH_VERSION {
-        return Err((IntegrityCheck::Version, format!("graph version {version} unsupported")));
-    }
-    let _reserved = b.get_u16_le();
-    let cap = b.get_u32_le();
-    let n = b.get_u64_le() as usize;
-    let need = n
-        .checked_mul(4)
-        .and_then(|x| x.checked_add(n.checked_mul(cap as usize)?.checked_mul(4)?))
-        .ok_or((IntegrityCheck::Bounds, "graph size overflow".to_string()))?;
-    if b.remaining() != need {
-        return Err((
-            IntegrityCheck::Bounds,
-            format!("graph payload is {} bytes, header promises {need}", b.remaining()),
-        ));
-    }
-    let mut lens = Vec::with_capacity(n);
-    for _ in 0..n {
-        let l = b.get_u32_le();
-        if l > cap {
-            return Err((IntegrityCheck::Bounds, format!("node length {l} exceeds cap {cap}")));
-        }
-        lens.push(l);
-    }
-    let mut data = Vec::with_capacity(n * cap as usize);
-    for _ in 0..n * cap as usize {
-        data.push(b.get_u32_le());
-    }
-    // Validate neighbor ids are in range (only the live prefix of each row).
-    for (u, &l) in lens.iter().enumerate() {
-        let row = &data[u * cap as usize..u * cap as usize + l as usize];
-        if let Some(&bad) = row.iter().find(|&&v| v as usize >= n) {
-            return Err((
-                IntegrityCheck::Bounds,
-                format!("node {u} references out-of-range neighbor {bad}"),
-            ));
+    for (u, (&l, row)) in lens.iter().zip(data.chunks(cap.max(1) as usize)).enumerate() {
+        if let Some(bad) = row.iter().take(l as usize).find(|&&v| v as usize >= n) {
+            let detail = format!("node {u} references out-of-range neighbor {bad}");
+            return Err((IntegrityCheck::Bounds, detail));
         }
     }
     Ok(FlatGraph::from_raw_parts(cap, lens, data))
@@ -107,7 +57,8 @@ pub fn save_graph(path: &std::path::Path, g: &FlatGraph) -> Result<()> {
 /// validation failure; `Io` on filesystem errors.
 pub fn load_graph(path: &std::path::Path) -> Result<FlatGraph> {
     let buf = std::fs::read(path)?;
-    graph_checked(&buf).map_err(|(check, detail)| AnnError::corrupt_file(path, None, check, detail))
+    graph_from_bytes(&buf)
+        .map_err(|(check, detail)| AnnError::corrupt_file(path, None, check, detail))
 }
 
 #[cfg(test)]
@@ -134,9 +85,9 @@ mod tests {
 
     #[test]
     fn detects_corruption() {
-        let mut b = graph_to_bytes(&sample()).to_vec();
+        let mut b = graph_to_bytes(&sample());
         b[12] ^= 1;
-        assert!(matches!(graph_from_bytes(&b), Err(AnnError::CorruptIndex(_))));
+        assert!(matches!(graph_from_bytes(&b), Err((IntegrityCheck::Checksum, _))));
     }
 
     #[test]
@@ -153,16 +104,17 @@ mod tests {
         let mut g = VarGraph::new(2);
         g.add_edge(0, 1);
         let f = FlatGraph::freeze(&g, Some(1));
-        let mut raw = graph_to_bytes(&f).to_vec();
+        let mut raw = graph_to_bytes(&f);
         // Body layout: magic(4) ver(2) res(2) cap(4) n(8) lens(2*4) data...
         let data_off = 4 + 2 + 2 + 4 + 8 + 2 * 4;
         raw[data_off..data_off + 4].copy_from_slice(&9u32.to_le_bytes());
         // Re-seal checksum.
         let body_len = raw.len() - 8;
-        let sum = fnv1a(&raw[..body_len]);
+        let sum = ann_vectors::io::fnv1a(&raw[..body_len]);
         raw[body_len..].copy_from_slice(&sum.to_le_bytes());
-        let err = graph_from_bytes(&raw).unwrap_err();
-        assert!(err.to_string().contains("out-of-range"));
+        let (check, detail) = graph_from_bytes(&raw).unwrap_err();
+        assert_eq!(check, IntegrityCheck::Bounds);
+        assert!(detail.contains("out-of-range"));
     }
 
     #[test]
@@ -180,7 +132,7 @@ mod tests {
         let dir = std::env::temp_dir().join("ann_graph_ser_tests");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("garbled.bin");
-        let mut raw = graph_to_bytes(&sample()).to_vec();
+        let mut raw = graph_to_bytes(&sample());
         let last = raw.len() - 1;
         raw[last] ^= 0xFF; // breaks the checksum trailer
         std::fs::write(&p, raw).unwrap();

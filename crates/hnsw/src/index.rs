@@ -8,15 +8,14 @@ use ann_graph::{
     beam_search_dyn, AnnIndex, FlatGraph, GraphStats, GraphView, QueryResult, Scratch, SearchStats,
     VarGraph,
 };
+use ann_vectors::codec::{self, Format};
 use ann_vectors::error::{AnnError, Result};
-use ann_vectors::io::fnv1a;
 use ann_vectors::metric::Metric;
 use ann_vectors::VecStore;
-use bytes::{Buf, BufMut, BytesMut};
 use std::sync::Arc;
 
-const HNSW_MAGIC: u32 = 0x484E_5731; // "HNW1"
-const HNSW_VERSION: u16 = 1;
+const HNSW: Format =
+    Format { name: "hnsw", magic: 0x484E_5731, version: 1, oldest: 1, min_len: 48 };
 
 /// A built HNSW index.
 ///
@@ -140,36 +139,25 @@ impl Hnsw {
         cur
     }
 
-    /// Serialize the index structure (not the vectors) to bytes.
+    /// Serialize the index structure (not the vectors) as one `HNW1`
+    /// frame: header | metric initial (u8) | pad (u8) | n (u64) | dim (u64)
+    /// | entry, max level, m, ef_construction (u32 each) | per node: level
+    /// count (u8), then per level a u32 count and the u32 ids | `GRF1`
+    /// layer 0 (u64-length prefixed).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let graph_bytes = graph_to_bytes(&self.layer0);
-        let mut buf = BytesMut::with_capacity(64 + graph_bytes.len());
-        buf.put_u32_le(HNSW_MAGIC);
-        buf.put_u16_le(HNSW_VERSION);
-        buf.put_u8(self.metric.name().as_bytes()[0]); // 'L' / 'I' / 'C'
-        buf.put_u8(0);
-        buf.put_u64_le(self.store.len() as u64);
-        buf.put_u64_le(self.store.dim() as u64);
-        buf.put_u32_le(self.entry);
-        buf.put_u32_le(self.max_level as u32);
-        buf.put_u32_le(self.params.m as u32);
-        buf.put_u32_le(self.params.ef_construction as u32);
-        // Upper layers.
-        for u in 0..self.store.len() {
-            let levels = &self.upper[u];
-            buf.put_u8(levels.len() as u8);
+        let graph = graph_to_bytes(&self.layer0);
+        let mut w = HNSW.writer(56 + graph.len());
+        w.u8(self.metric.name().as_bytes()[0]).u8(0); // 'L' / 'I' / 'C'
+        w.u64(self.store.len() as u64).u64(self.store.dim() as u64);
+        w.u32(self.entry).u32(self.max_level as u32);
+        w.u32(self.params.m as u32).u32(self.params.ef_construction as u32);
+        for levels in &self.upper {
+            w.u8(levels.len() as u8);
             for list in levels {
-                buf.put_u32_le(list.len() as u32);
-                for &v in list {
-                    buf.put_u32_le(v);
-                }
+                w.u32(list.len() as u32).u32s(list);
             }
         }
-        buf.put_u64_le(graph_bytes.len() as u64);
-        buf.extend_from_slice(&graph_bytes);
-        let checksum = fnv1a(&buf);
-        buf.put_u64_le(checksum);
-        buf.to_vec()
+        w.bytes_u64(&graph).seal()
     }
 
     /// Reconstruct an index from [`Hnsw::to_bytes`] output and the matching
@@ -179,91 +167,45 @@ impl Hnsw {
     /// `CorruptIndex` if the buffer fails validation or does not match
     /// `store`'s shape.
     pub fn from_bytes(buf: &[u8], store: Arc<VecStore>, metric: Metric) -> Result<Self> {
-        if buf.len() < 48 {
-            return Err(AnnError::CorruptIndex("hnsw buffer too short".into()));
+        let corrupt = |detail: &str| AnnError::CorruptIndex(format!("hnsw {detail}"));
+        let (_, mut r) = codec::open(buf, &HNSW)?;
+        if r.u8()? != metric.name().as_bytes()[0] {
+            return Err(corrupt("metric mismatch"));
         }
-        let (body, tail) = buf.split_at(buf.len() - 8);
-        let expect = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if fnv1a(body) != expect {
-            return Err(AnnError::CorruptIndex("hnsw checksum mismatch".into()));
-        }
-        let mut b = body;
-        if b.get_u32_le() != HNSW_MAGIC {
-            return Err(AnnError::CorruptIndex("hnsw bad magic".into()));
-        }
-        if b.get_u16_le() != HNSW_VERSION {
-            return Err(AnnError::CorruptIndex("hnsw version unsupported".into()));
-        }
-        let metric_byte = b.get_u8();
-        if metric_byte != metric.name().as_bytes()[0] {
-            return Err(AnnError::CorruptIndex("hnsw metric mismatch".into()));
-        }
-        let _pad = b.get_u8();
-        let n = b.get_u64_le() as usize;
-        let dim = b.get_u64_le() as usize;
+        r.u8()?; // pad
+        let (n, dim) = (r.count()?, r.count()?);
         if n != store.len() || dim != store.dim() {
-            return Err(AnnError::CorruptIndex(format!(
-                "hnsw built for {n} x {dim}, store is {} x {}",
-                store.len(),
-                store.dim()
-            )));
+            let (sn, sd) = (store.len(), store.dim());
+            return Err(corrupt(&format!("built for {n} x {dim}, store is {sn} x {sd}")));
         }
-        let entry = b.get_u32_le();
-        let max_level = b.get_u32_le() as usize;
-        let m = b.get_u32_le() as usize;
-        let ef_construction = b.get_u32_le() as usize;
+        let entry = r.u32()?;
+        let max_level = r.u32()? as usize;
+        let m = r.u32()? as usize;
+        let ef_construction = r.u32()? as usize;
         let mut upper = Vec::with_capacity(n);
         for _ in 0..n {
-            if b.remaining() < 1 {
-                return Err(AnnError::CorruptIndex("hnsw upper truncated".into()));
-            }
-            let levels = b.get_u8() as usize;
-            let mut lists = Vec::with_capacity(levels);
+            let levels = r.u8()?;
+            let mut lists = Vec::with_capacity(levels.into());
             for _ in 0..levels {
-                if b.remaining() < 4 {
-                    return Err(AnnError::CorruptIndex("hnsw upper truncated".into()));
-                }
-                let len = b.get_u32_le() as usize;
-                if b.remaining() < len * 4 {
-                    return Err(AnnError::CorruptIndex("hnsw upper truncated".into()));
-                }
-                let mut list = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let v = b.get_u32_le();
-                    if v as usize >= n {
-                        return Err(AnnError::CorruptIndex(
-                            "hnsw upper neighbor out of range".into(),
-                        ));
-                    }
-                    list.push(v);
+                let len = r.u32()? as usize;
+                let list = r.u32s(len)?;
+                if list.iter().any(|&v| v as usize >= n) {
+                    return Err(corrupt("upper neighbor out of range"));
                 }
                 lists.push(list);
             }
             upper.push(lists);
         }
-        if b.remaining() < 8 {
-            return Err(AnnError::CorruptIndex("hnsw graph section missing".into()));
-        }
-        let glen = b.get_u64_le() as usize;
-        if b.remaining() != glen {
-            return Err(AnnError::CorruptIndex("hnsw graph section length mismatch".into()));
-        }
-        let layer0 = graph_from_bytes(&body[body.len() - glen..])?;
+        let layer0 = graph_from_bytes(r.bytes_u64()?)?;
+        r.finish()?;
         if layer0.num_nodes() != n {
-            return Err(AnnError::CorruptIndex("hnsw layer0 node count mismatch".into()));
+            return Err(corrupt("layer0 node count mismatch"));
         }
         if entry as usize >= n {
-            return Err(AnnError::CorruptIndex("hnsw entry out of range".into()));
+            return Err(corrupt("entry out of range"));
         }
-        Ok(Hnsw {
-            store,
-            metric,
-            layer0,
-            upper,
-            entry,
-            max_level,
-            params: HnswParams { m, ef_construction, ..HnswParams::default() },
-        })
+        let params = HnswParams { m, ef_construction, ..HnswParams::default() };
+        Ok(Hnsw { store, metric, layer0, upper, entry, max_level, params })
     }
 }
 

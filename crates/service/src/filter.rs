@@ -9,12 +9,13 @@
 //! [`ann_graph::SearchFilter`] machinery, so non-matching vectors still
 //! steer the traversal but never occupy a result slot.
 //!
-//! The binary attribute codec lives here because two independent
+//! The binary attribute layout lives here because two independent
 //! persistence layers share it byte-for-byte: the WAL `SetAttrs` record
-//! body and the snapshot envelope's attribute entries. Both wrap it in
-//! their own checksums; the codec itself is just layout.
+//! body and the snapshot envelope's attribute entries. Both write it
+//! through [`ann_vectors::codec`] inside their own checksummed frames.
 
-use ann_vectors::error::{AnnError, Result};
+use ann_vectors::codec::{self, Reader, Writer};
+use ann_vectors::error::{AnnError, IntegrityCheck, Result};
 
 /// One typed attribute value.
 ///
@@ -142,110 +143,76 @@ impl FilterExpr {
 }
 
 // ---------------------------------------------------------------------------
-// Binary codec — shared by the WAL `SetAttrs` record body and the SNP1 v3
-// envelope attribute section. Layout (all little-endian):
+// Binary layout — shared by the WAL `SetAttrs` record body and the SNP1 v3
+// envelope attribute section, both of which frame it (all little-endian):
 //
 //   record: nkeys u16 | nkeys × (key_len u16 | key utf8 | tag u8 | value)
 //   value:  tag 1 → u64 | tag 2 → u8 (0/1) | tag 3 → len u16 + utf8
 // ---------------------------------------------------------------------------
 
-/// Append the canonical encoding of `attrs` to `out`.
-pub(crate) fn encode_attrs(out: &mut Vec<u8>, attrs: &AttrRecord) {
+/// Append the canonical encoding of `attrs` to `w`.
+pub(crate) fn encode_attrs(w: &mut Writer, attrs: &AttrRecord) {
     // cast: normalize_attrs caps the record at MAX_ATTR_KEYS (< u16::MAX).
-    out.extend_from_slice(&(attrs.len() as u16).to_le_bytes());
+    w.u16(attrs.len() as u16);
     for (k, v) in attrs {
         // cast: normalize_attrs caps keys at MAX_ATTR_KEY_LEN (< u16::MAX).
-        out.extend_from_slice(&(k.len() as u16).to_le_bytes());
-        out.extend_from_slice(k.as_bytes());
-        out.push(v.tag());
+        w.u16(k.len() as u16).bytes(k.as_bytes()).u8(v.tag());
         match v {
-            AttrValue::U64(x) => out.extend_from_slice(&x.to_le_bytes()),
-            AttrValue::Bool(b) => out.push(u8::from(*b)),
-            AttrValue::Str(s) => {
-                // cast: normalize_attrs caps strings at MAX_ATTR_STR_LEN.
-                out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-        }
+            AttrValue::U64(x) => w.u64(*x),
+            AttrValue::Bool(b) => w.u8(u8::from(*b)),
+            // cast: normalize_attrs caps strings at MAX_ATTR_STR_LEN.
+            AttrValue::Str(s) => w.u16(s.len() as u16).bytes(s.as_bytes()),
+        };
     }
 }
 
-fn take<'a>(b: &mut &'a [u8], n: usize, what: &'static str) -> Result<&'a [u8]> {
-    if b.len() < n {
-        return Err(AnnError::CorruptIndex(format!("attribute record truncated in {what}")));
+/// A `u16`-length-prefixed UTF-8 string of at most `max` bytes.
+fn utf8(r: &mut Reader, max: usize, what: &str) -> codec::Result<String> {
+    let len = usize::from(r.u16()?);
+    if len > max {
+        return Err((
+            IntegrityCheck::Bounds,
+            format!("attribute {what} of {len} bytes (max {max})"),
+        ));
     }
-    let (head, tail) = b.split_at(n);
-    *b = tail;
-    Ok(head)
+    String::from_utf8(r.take(len)?.to_vec())
+        .map_err(|_| (IntegrityCheck::Payload, format!("attribute {what} is not UTF-8")))
 }
 
-/// [`take`] for a fixed-size field, as an array ready for `from_le_bytes`.
-fn take_n<const N: usize>(b: &mut &[u8], what: &'static str) -> Result<[u8; N]> {
-    let head = take(b, N, what)?;
-    let mut out = [0u8; N];
-    out.copy_from_slice(head);
-    Ok(out)
-}
-
-/// Decode one attribute record from the front of `b`, advancing it.
+/// Decode one attribute record from `r`, advancing it.
 ///
 /// # Errors
-/// `CorruptIndex` on truncation, an unknown value tag, invalid UTF-8, or a
-/// non-canonical (unsorted / duplicate-key / over-ceiling) record — callers
-/// wrap this in their own `CorruptWal`/`CorruptFile` context.
-pub(crate) fn decode_attrs(b: &mut &[u8]) -> Result<AttrRecord> {
-    let nkeys = u16::from_le_bytes(take_n(b, "key count")?) as usize;
+/// The failing check on truncation, an unknown value tag, invalid UTF-8, or
+/// a non-canonical (unsorted / duplicate-key / over-ceiling) record —
+/// callers wrap this in their own `CorruptWal`/`CorruptFile` context.
+pub(crate) fn decode_attrs(r: &mut Reader) -> codec::Result<AttrRecord> {
+    let bad = |detail: String| Err((IntegrityCheck::Payload, detail));
+    let nkeys = usize::from(r.u16()?);
     if nkeys > MAX_ATTR_KEYS {
-        return Err(AnnError::CorruptIndex(format!(
-            "attribute record claims {nkeys} keys (max {MAX_ATTR_KEYS})"
-        )));
+        return bad(format!("attribute record claims {nkeys} keys (max {MAX_ATTR_KEYS})"));
     }
     let mut attrs = Vec::with_capacity(nkeys);
     for _ in 0..nkeys {
-        let klen = u16::from_le_bytes(take_n(b, "key length")?) as usize;
-        if klen == 0 || klen > MAX_ATTR_KEY_LEN {
-            return Err(AnnError::CorruptIndex(format!(
-                "attribute key length {klen} outside 1..={MAX_ATTR_KEY_LEN}"
-            )));
+        let key = utf8(r, MAX_ATTR_KEY_LEN, "key")?;
+        if key.is_empty() {
+            return bad("empty attribute key".into());
         }
-        let key = std::str::from_utf8(take(b, klen, "key bytes")?)
-            .map_err(|_| AnnError::CorruptIndex("attribute key is not UTF-8".into()))?
-            .to_string();
-        let tag = take(b, 1, "value tag")?[0];
-        let value = match tag {
-            1 => AttrValue::U64(u64::from_le_bytes(take_n(b, "u64 value")?)),
-            2 => match take(b, 1, "bool value")?[0] {
+        let value = match r.u8()? {
+            1 => AttrValue::U64(r.u64()?),
+            2 => match r.u8()? {
                 0 => AttrValue::Bool(false),
                 1 => AttrValue::Bool(true),
                 other => {
-                    return Err(AnnError::CorruptIndex(format!(
-                        "attribute bool value byte {other} is neither 0 nor 1"
-                    )))
+                    return bad(format!("attribute bool value byte {other} is neither 0 nor 1"))
                 }
             },
-            3 => {
-                let slen = u16::from_le_bytes(take_n(b, "string length")?) as usize;
-                if slen > MAX_ATTR_STR_LEN {
-                    return Err(AnnError::CorruptIndex(format!(
-                        "attribute string value is {slen} bytes (max {MAX_ATTR_STR_LEN})"
-                    )));
-                }
-                AttrValue::Str(
-                    std::str::from_utf8(take(b, slen, "string bytes")?)
-                        .map_err(|_| {
-                            AnnError::CorruptIndex("attribute string is not UTF-8".into())
-                        })?
-                        .to_string(),
-                )
-            }
-            other => {
-                return Err(AnnError::CorruptIndex(format!("unknown attribute value tag {other}")))
-            }
+            3 => AttrValue::Str(utf8(r, MAX_ATTR_STR_LEN, "string value")?),
+            other => return bad(format!("unknown attribute value tag {other}")),
         };
         attrs.push((key, value));
     }
     if attrs.windows(2).any(|w| w[0].0 >= w[1].0) {
-        return Err(AnnError::CorruptIndex("attribute record is not sorted-unique by key".into()));
+        return bad("attribute record is not sorted-unique by key".into());
     }
     Ok(attrs)
 }
@@ -320,9 +287,10 @@ mod tests {
                 ("s", AttrValue::Str("héllo wörld".into())),
             ]),
         ] {
-            let mut buf = Vec::new();
+            let mut buf = Writer::default();
             encode_attrs(&mut buf, &r);
-            let mut b = buf.as_slice();
+            let buf = buf.into_bytes();
+            let mut b = Reader::new(&buf);
             let back = decode_attrs(&mut b).unwrap();
             assert_eq!(back, r);
             assert!(b.is_empty(), "decoder must consume exactly the record");
@@ -332,24 +300,25 @@ mod tests {
     #[test]
     fn codec_rejects_damage() {
         let r = rec(&[("k", AttrValue::Str("value".into()))]);
-        let mut buf = Vec::new();
+        let mut buf = Writer::default();
         encode_attrs(&mut buf, &r);
+        let buf = buf.into_bytes();
         // Truncation at every prefix length must error, never panic.
         for cut in 0..buf.len() {
-            let mut b = &buf[..cut];
+            let mut b = Reader::new(&buf[..cut]);
             assert!(decode_attrs(&mut b).is_err(), "accepted truncation at {cut}");
         }
         // Unknown tag.
-        let mut bad = buf.clone();
+        let mut bad = buf;
         let tag_pos = 2 + 2 + 1; // nkeys + klen + "k"
         bad[tag_pos] = 9;
-        assert!(decode_attrs(&mut bad.as_slice()).is_err());
+        assert!(decode_attrs(&mut Reader::new(&bad)).is_err());
         // Unsorted pair order.
         let unsorted =
             vec![("z".to_string(), AttrValue::U64(1)), ("a".to_string(), AttrValue::U64(2))];
-        let mut buf = Vec::new();
+        let mut buf = Writer::default();
         encode_attrs(&mut buf, &unsorted);
-        assert!(decode_attrs(&mut buf.as_slice()).is_err());
+        assert!(decode_attrs(&mut Reader::new(&buf.into_bytes())).is_err());
     }
 
     #[test]

@@ -4,15 +4,14 @@
 //! ## Durability contract
 //!
 //! * **Atomic publish** — a snapshot is written as a single `SNP1` envelope
-//!   (generation, build params, external-id table, the vector store, and
-//!   the `TauIndex` structure, FNV-1a-checksummed like every other on-disk
-//!   format in this workspace) via temp file → `sync_all` → atomic rename →
-//!   directory fsync. A crash at any point leaves either the previous
-//!   generation set or the new one — never a torn file under a live name.
+//!   (layout below) via temp file → `sync_all` → atomic rename → directory
+//!   fsync. A crash at any point leaves either the previous generation set
+//!   or the new one — never a torn file under a live name.
 //! * **Read-back verification** — [`SnapshotStore::persist`] only reports
 //!   success after re-reading the renamed file and verifying its checksum,
-//!   so a silent short write or bit flip between memory and platter cannot
-//!   be counted as durable (and cannot trigger retention of nothing else).
+//!   magic and version, so a silent short write or bit flip between memory
+//!   and platter cannot be counted as durable (and cannot make pruning
+//!   remove the last good generation).
 //! * **Recovery** — [`SnapshotStore::recover`] scans the directory
 //!   newest-generation-first, validates each candidate (checksum, format,
 //!   embedded payloads, and — by default — the GraphAuditor deterministic
@@ -37,10 +36,30 @@
 //! a generation that live journal segments still replay on top of is never
 //! garbage-collected, no matter how far beyond the retain-K horizon it
 //! falls.
+//!
+//! ## Envelope format (`SNP1`, version 3)
+//!
+//! ```text
+//! header:  magic "SNP1" (u32) | version (u16) | reserved (u16)
+//!          generation (u64) | covered_lsn (u64)
+//!          tau (f32) | r (u64) | l (u64) | c (u64)
+//! ids:     n (u64) | n × external id (u64)
+//! store:   length (u64) | VST0 frame
+//! index:   length (u64) | TMG1 frame
+//! attrs:   length (u64) | count (u64) | count × (external id (u64) | record)
+//!          fnv1a over count ++ entries (u64)
+//!          fnv1a over everything above (u64)
+//! ```
+//!
+//! The whole envelope is one [`ann_vectors::codec`] frame, and so are the
+//! vector store, the index and the attribute section inside it (the
+//! section's length field excludes its own checksum). Attribute records
+//! use the layout in [`crate::filter`], sorted by external id. Version 2
+//! envelopes end after the index and decode with no attributes.
 
+use ann_vectors::codec::{self, Format, Writer};
 use ann_vectors::error::{AnnError, IntegrityCheck, Result};
-use ann_vectors::io::{fnv1a, vstore_from_bytes, vstore_to_bytes};
-use bytes::{Buf, BufMut, BytesMut};
+use ann_vectors::io::{vstore_from_bytes, vstore_to_bytes};
 use tau_mg::{TauIndex, TauMngParams};
 
 use crate::filter::AttrRecord;
@@ -54,19 +73,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-const SNAP_MAGIC: u32 = 0x534E_5031; // "SNP1"
-/// Current envelope version. v3 appends a per-vector attribute section
-/// (count-prefixed `external → attribute record` entries with their own
-/// FNV-1a checksum) after the index bytes; v2 envelopes — everything
-/// persisted before attributes existed — still decode, as "no attributes".
-const SNAP_VERSION: u16 = 3;
-/// Newest *previous* version this build still reads.
-const SNAP_VERSION_COMPAT: u16 = 2;
-/// Fixed header (60) + store-length field (8) + index-length field (8) +
-/// checksum trailer (8): the smallest parseable envelope (v2 layout; the
-/// v3 attribute section is bounds-checked separately once the version is
-/// known).
-const SNAP_MIN_LEN: usize = 84;
+/// The envelope; this build reads versions 2 and 3 (see the module doc).
+/// The smallest envelope is the 60-byte header, two section lengths and
+/// the trailer.
+const SNAPSHOT: Format =
+    Format { name: "snapshot", magic: 0x534E_5031, version: 3, oldest: 2, min_len: 84 };
 
 /// The injectable filesystem surface the store runs on.
 ///
@@ -385,7 +396,7 @@ impl SnapshotStore {
         }
         self.fs.sync_dir(&self.dir)?;
         let on_disk = self.fs.read_file(&final_path)?;
-        verify_envelope_checksum(&on_disk).map_err(|(check, detail)| {
+        codec::open(&on_disk, &SNAPSHOT).map_err(|(check, detail)| {
             AnnError::corrupt_file(&final_path, Some(generation), check, detail)
         })?;
         self.prune();
@@ -607,215 +618,69 @@ pub(crate) fn encode_snapshot(
     let store_bytes = vstore_to_bytes(index.store(), index.metric());
     let index_bytes = index.to_bytes();
     let ext = snapshot.external_ids();
-    let mut buf = BytesMut::with_capacity(
-        SNAP_MIN_LEN + ext.len() * 8 + store_bytes.len() + index_bytes.len(),
-    );
-    buf.put_u32_le(SNAP_MAGIC);
-    buf.put_u16_le(SNAP_VERSION);
-    buf.put_u16_le(0); // reserved
-    buf.put_u64_le(snapshot.generation());
-    buf.put_u64_le(covered_lsn);
-    buf.put_f32_le(params.tau);
-    buf.put_u64_le(params.r as u64);
-    buf.put_u64_le(params.l as u64);
-    buf.put_u64_le(params.c as u64);
-    buf.put_u64_le(ext.len() as u64);
-    for &e in ext {
-        buf.put_u64_le(e);
-    }
-    buf.put_u64_le(store_bytes.len() as u64);
-    buf.extend_from_slice(&store_bytes);
-    buf.put_u64_le(index_bytes.len() as u64);
-    buf.extend_from_slice(&index_bytes);
-    // v3 attribute section: `payload_len | payload | fnv1a(payload)`, where
-    // the payload is `count | (external, attr codec bytes)*` sorted by
-    // external id so identical snapshots encode identical bytes. The
-    // section checksum lets a damaged attribute table be diagnosed apart
-    // from whole-envelope rot.
+    // The attribute section sorts by external id so identical snapshots
+    // encode identical bytes.
     let attrs = snapshot.attrs_map();
     let mut entries: Vec<(&u64, &AttrRecord)> = attrs.iter().collect();
     entries.sort_unstable_by_key(|(e, _)| **e);
-    let mut payload = Vec::with_capacity(8 + entries.len() * 16);
-    payload.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    let mut section = Writer::default();
+    section.u64(entries.len() as u64);
     for (external, rec) in entries {
-        payload.extend_from_slice(&external.to_le_bytes());
-        crate::filter::encode_attrs(&mut payload, rec);
+        crate::filter::encode_attrs(section.u64(*external), rec);
     }
-    buf.put_u64_le(payload.len() as u64);
-    buf.extend_from_slice(&payload);
-    buf.put_u64_le(fnv1a(&payload));
-    let checksum = fnv1a(&buf);
-    buf.put_u64_le(checksum);
-    buf.to_vec()
-}
-
-/// Fast integrity gate: length + whole-envelope checksum, no decoding.
-/// Used by the post-rename read-back in [`SnapshotStore::persist`].
-fn verify_envelope_checksum(buf: &[u8]) -> std::result::Result<(), (IntegrityCheck, String)> {
-    if buf.len() < SNAP_MIN_LEN {
-        return Err((
-            IntegrityCheck::Truncated,
-            format!("{} bytes is shorter than the minimal {SNAP_MIN_LEN}-byte envelope", buf.len()),
-        ));
-    }
-    let (body, tail) = buf.split_at(buf.len() - 8);
-    let mut tail8 = [0u8; 8];
-    tail8.copy_from_slice(tail);
-    if fnv1a(body) != u64::from_le_bytes(tail8) {
-        return Err((IntegrityCheck::Checksum, "snapshot envelope checksum mismatch".into()));
-    }
-    Ok(())
+    let section = section.seal();
+    let sections = store_bytes.len() + index_bytes.len() + section.len();
+    let mut w = SNAPSHOT.writer(100 + ext.len() * 8 + sections);
+    w.u16(0).u64(snapshot.generation()).u64(covered_lsn).f32(params.tau);
+    w.u64(params.r as u64).u64(params.l as u64).u64(params.c as u64);
+    w.u64(ext.len() as u64).u64s(ext);
+    w.bytes_u64(&store_bytes).bytes_u64(&index_bytes);
+    // The section's length field excludes its own trailer.
+    w.u64((section.len() - codec::TRAILER) as u64).bytes(&section).seal()
 }
 
 /// Parse and validate a full `SNP1` envelope.
-pub(crate) fn decode_snapshot(
-    buf: &[u8],
-) -> std::result::Result<RecoveredSnapshot, (IntegrityCheck, String)> {
-    verify_envelope_checksum(buf)?;
-    let mut b = &buf[..buf.len() - 8];
-    if b.get_u32_le() != SNAP_MAGIC {
-        return Err((IntegrityCheck::Magic, "snapshot bad magic".into()));
-    }
-    let version = b.get_u16_le();
-    if version != SNAP_VERSION && version != SNAP_VERSION_COMPAT {
-        return Err((
-            IntegrityCheck::Version,
-            format!(
-                "snapshot version {version} unsupported (this build reads \
-                 {SNAP_VERSION_COMPAT}-{SNAP_VERSION})"
-            ),
-        ));
-    }
-    let _reserved = b.get_u16_le();
-    let generation = b.get_u64_le();
-    let covered_lsn = b.get_u64_le();
-    let tau = b.get_f32_le();
+pub(crate) fn decode_snapshot(buf: &[u8]) -> codec::Result<RecoveredSnapshot> {
+    let (version, mut r) = codec::open(buf, &SNAPSHOT)?;
+    r.u16()?; // reserved
+    let (generation, covered_lsn, tau) = (r.u64()?, r.u64()?, r.f32()?);
     if !tau.is_finite() || tau < 0.0 {
         return Err((IntegrityCheck::Bounds, format!("snapshot params carry invalid tau {tau}")));
     }
-    let r = b.get_u64_le() as usize;
-    let l = b.get_u64_le() as usize;
-    let c = b.get_u64_le() as usize;
-    let n = b.get_u64_le() as usize;
-    let ext_bytes = n.checked_mul(8).filter(|&need| need + 16 <= b.remaining()).ok_or((
-        IntegrityCheck::Bounds,
-        format!("external-id table of {n} entries does not fit the envelope"),
-    ))?;
-    let mut external_ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        external_ids.push(b.get_u64_le());
-    }
-    let _ = ext_bytes;
-    let store_len = b.get_u64_le() as usize;
-    if store_len + 8 > b.remaining() {
-        return Err((
-            IntegrityCheck::Bounds,
-            format!("store section of {store_len} bytes exceeds the envelope"),
-        ));
-    }
-    let (store, metric) = vstore_from_bytes(&b[..store_len])
-        .map_err(|e| (IntegrityCheck::Payload, format!("embedded vector store rejected: {e}")))?;
-    b.advance(store_len);
-    let index_len = b.get_u64_le() as usize;
-    // v2 envelopes end with the index bytes; v3 carries the attribute
-    // section (length field + payload + section checksum) after them.
-    let index_trailer = if version >= SNAP_VERSION { 16 } else { 0 };
-    if index_len + index_trailer > b.remaining() {
-        return Err((
-            IntegrityCheck::Bounds,
-            format!(
-                "index section promises {index_len} bytes, {} remain in the envelope",
-                b.remaining()
-            ),
-        ));
-    }
-    if version < SNAP_VERSION && index_len != b.remaining() {
-        return Err((
-            IntegrityCheck::Bounds,
-            format!(
-                "index section promises {index_len} bytes, {} remain in the envelope",
-                b.remaining()
-            ),
-        ));
-    }
-    let index = TauIndex::from_bytes(&b[..index_len], Arc::new(store), metric)
+    let params = TauMngParams { tau, r: r.count()?, l: r.count()?, c: r.count()? };
+    let n = r.count()?;
+    let external_ids = r.u64s(n)?;
+    let (store, metric) = vstore_from_bytes(r.bytes_u64()?).map_err(|(_, e)| {
+        (IntegrityCheck::Payload, format!("embedded vector store rejected: {e}"))
+    })?;
+    let index = TauIndex::from_bytes(r.bytes_u64()?, Arc::new(store), metric)
         .map_err(|e| (IntegrityCheck::Payload, format!("embedded index rejected: {e}")))?;
-    b.advance(index_len);
     let mut attrs = HashMap::new();
-    if version >= SNAP_VERSION {
-        let attrs_len = b.get_u64_le() as usize;
-        if attrs_len + 8 != b.remaining() {
-            return Err((
-                IntegrityCheck::Bounds,
-                format!(
-                    "attribute section promises {attrs_len} bytes, {} remain in the envelope",
-                    b.remaining().saturating_sub(8)
-                ),
-            ));
-        }
-        if attrs_len < 8 {
-            return Err((
-                IntegrityCheck::Bounds,
-                "attribute section too short for its count field".into(),
-            ));
-        }
-        let payload = &b[..attrs_len];
-        let mut sum8 = [0u8; 8];
-        sum8.copy_from_slice(&b[attrs_len..attrs_len + 8]);
-        if fnv1a(payload) != u64::from_le_bytes(sum8) {
-            return Err((IntegrityCheck::Checksum, "attribute section checksum mismatch".into()));
-        }
-        let mut p = payload;
-        let count = p.get_u64_le();
-        for _ in 0..count {
-            if p.remaining() < 8 {
-                return Err((
-                    IntegrityCheck::Bounds,
-                    format!("attribute section promises {count} entries but ran out of bytes"),
-                ));
-            }
-            let external = p.get_u64_le();
-            let rec = crate::filter::decode_attrs(&mut p).map_err(|e| {
+    if version >= 3 {
+        // The section carries its own checksum, so a damaged attribute
+        // table is diagnosed apart from whole-envelope rot.
+        let section_len = r.count()?;
+        let section = r.take(section_len.saturating_add(codec::TRAILER))?;
+        let mut p = codec::unseal(section, "attribute section", 8 + codec::TRAILER)?;
+        for _ in 0..p.u64()? {
+            let external = p.u64()?;
+            let rec = crate::filter::decode_attrs(&mut p).map_err(|(_, e)| {
                 (IntegrityCheck::Payload, format!("attribute record for id {external}: {e}"))
             })?;
-            if rec.is_empty() {
-                return Err((
-                    IntegrityCheck::Payload,
-                    format!("empty attribute record persisted for id {external}"),
-                ));
-            }
-            if attrs.insert(external, rec).is_some() {
-                return Err((
-                    IntegrityCheck::Payload,
-                    format!("duplicate attribute record for id {external}"),
-                ));
+            if rec.is_empty() || attrs.insert(external, rec).is_some() {
+                let detail = format!("empty or duplicate attribute record for id {external}");
+                return Err((IntegrityCheck::Payload, detail));
             }
         }
-        if !p.is_empty() {
-            return Err((
-                IntegrityCheck::Bounds,
-                format!("attribute section carries {} trailing bytes", p.len()),
-            ));
-        }
+        p.finish()?;
     }
+    r.finish()?;
     if external_ids.len() != index.store().len() {
-        return Err((
-            IntegrityCheck::Bounds,
-            format!(
-                "external-id table has {} entries, index has {} points",
-                external_ids.len(),
-                index.store().len()
-            ),
-        ));
+        let (e, p) = (external_ids.len(), index.store().len());
+        let detail = format!("external-id table has {e} entries, index has {p} points");
+        return Err((IntegrityCheck::Bounds, detail));
     }
-    Ok(RecoveredSnapshot {
-        index,
-        external_ids,
-        generation,
-        covered_lsn,
-        params: TauMngParams { tau, r, l, c },
-        attrs,
-    })
+    Ok(RecoveredSnapshot { index, external_ids, generation, covered_lsn, params, attrs })
 }
 
 /// The recovery gate: the GraphAuditor deterministic suite (structural
@@ -849,6 +714,7 @@ pub(crate) fn audit_serving_state(
 mod tests {
     use super::*;
     use crate::snapshot::IndexWriter;
+    use ann_vectors::io::fnv1a;
     use ann_vectors::metric::Metric;
     use ann_vectors::synthetic::uniform;
 
@@ -889,7 +755,7 @@ mod tests {
     fn envelope_rejects_every_header_corruption() {
         let (cell, params) = snapshot_cell(60, 2);
         let bytes = encode_snapshot(&cell.load(), params, 0);
-        for pos in 0..SNAP_MIN_LEN.min(bytes.len()) {
+        for pos in 0..SNAPSHOT.min_len.min(bytes.len()) {
             let mut garbled = bytes.clone();
             garbled[pos] ^= 0xFF;
             assert!(decode_snapshot(&garbled).is_err(), "garbled byte {pos} accepted");

@@ -18,11 +18,14 @@
 //!          fnv1a over the preceding 24 bytes (u64)
 //! record:  body_len (u32)
 //!          body: lsn (u64) | shard (u32) | op (u8) | external_id (u64)
-//!                [insert only: dim (u32) | dim × f32 LE]
+//!                [op 1, insert: dim (u32) | dim × f32]
+//!                [op 3, set-attrs: attribute record, see crate::filter]
 //!          fnv1a over body_len ++ body (u64)
 //! ```
 //!
-//! Every field is little-endian. LSNs are unique and strictly increasing
+//! Both are [`ann_vectors::codec`] frames: the header is the sealed 24-byte
+//! body, a record is `body_len ++ body`, sealed. Every field is
+//! little-endian. LSNs are unique and strictly increasing
 //! across a shard's whole journal (gaps are legal — a failed append burns
 //! its LSN so no two records can ever share one). The reader is
 //! **torn-tail tolerant**: inside each segment it stops at the first byte
@@ -58,9 +61,8 @@
 //! bounded under sustained churn while every retained generation stays a
 //! valid replay base.
 
+use ann_vectors::codec::{self, Format, Reader, Writer};
 use ann_vectors::error::{AnnError, IntegrityCheck, Result};
-use ann_vectors::io::fnv1a;
-use bytes::{Buf, BufMut, BytesMut};
 
 use crate::metrics::Metrics;
 use crate::store::SnapshotFs;
@@ -68,13 +70,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const WAL_MAGIC: u32 = 0x5741_4C31; // "WAL1"
-const WAL_VERSION: u16 = 1;
-/// Magic (4) + version (2) + reserved (2) + shard (4) + reserved (4) +
-/// first LSN (8) + header checksum (8).
+/// The segment header: a sealed 24-byte body, 32 bytes on disk.
+const SEGMENT: Format =
+    Format { name: "segment", magic: 0x5741_4C31, version: 1, oldest: 1, min_len: 32 };
 const WAL_HEADER_LEN: usize = 32;
-/// Fixed part of a record body: lsn (8) + shard (4) + op (1) + external (8).
-const RECORD_FIXED_LEN: usize = 21;
 
 const OP_INSERT: u8 = 1;
 const OP_DELETE: u8 = 2;
@@ -233,61 +232,29 @@ fn segment_file_name(first_lsn: u64) -> String {
     format!("wal-{first_lsn:020}.wal")
 }
 
-fn encode_header(buf: &mut BytesMut, shard: u32, first_lsn: u64) {
-    let start = buf.len();
-    buf.put_u32_le(WAL_MAGIC);
-    buf.put_u16_le(WAL_VERSION);
-    buf.put_u16_le(0); // reserved
-    buf.put_u32_le(shard);
-    buf.put_u32_le(0); // reserved
-    buf.put_u64_le(first_lsn);
-    let sum = fnv1a(&buf[start..start + 24]);
-    buf.put_u64_le(sum);
+fn encode_header(shard: u32, first_lsn: u64) -> Vec<u8> {
+    SEGMENT.writer(WAL_HEADER_LEN).u16(0).u32(shard).u32(0).u64(first_lsn).seal()
 }
 
-fn encode_record(buf: &mut BytesMut, rec: &WalRecord) {
-    // Attribute payloads are encoded up front so the length prefix is known;
-    // records are small (ceilinged by the attr codec), so the temporary is
-    // a handful of bytes.
-    let attr_bytes = match &rec.op {
-        WalOp::SetAttrs { attrs, .. } => {
-            let mut ab = Vec::new();
-            crate::filter::encode_attrs(&mut ab, attrs);
-            ab
-        }
-        _ => Vec::new(),
-    };
-    let body_len = RECORD_FIXED_LEN
-        + match &rec.op {
-            WalOp::Insert { vector, .. } => 4 + vector.len() * 4,
-            WalOp::Delete { .. } => 0,
-            WalOp::SetAttrs { .. } => attr_bytes.len(),
-        };
-    let start = buf.len();
-    buf.put_u32_le(body_len as u32); // cast: record bodies are KiB-scale, far below u32::MAX
-    buf.put_u64_le(rec.lsn);
-    buf.put_u32_le(rec.shard);
+fn encode_record(rec: &WalRecord) -> Vec<u8> {
+    let mut body = Writer::default();
+    body.u64(rec.lsn).u32(rec.shard);
     match &rec.op {
         WalOp::Insert { external, vector } => {
-            buf.put_u8(OP_INSERT);
-            buf.put_u64_le(*external);
-            buf.put_u32_le(vector.len() as u32); // cast: dimensionality is bounded far below u32::MAX
-            for &v in vector {
-                buf.put_f32_le(v);
-            }
+            // cast: dimensionality is bounded far below u32::MAX
+            body.u8(OP_INSERT).u64(*external).u32(vector.len() as u32).f32s(vector);
         }
         WalOp::Delete { external } => {
-            buf.put_u8(OP_DELETE);
-            buf.put_u64_le(*external);
+            body.u8(OP_DELETE).u64(*external);
         }
-        WalOp::SetAttrs { external, .. } => {
-            buf.put_u8(OP_SET_ATTRS);
-            buf.put_u64_le(*external);
-            buf.extend_from_slice(&attr_bytes);
+        WalOp::SetAttrs { external, attrs } => {
+            crate::filter::encode_attrs(body.u8(OP_SET_ATTRS).u64(*external), attrs);
         }
     }
-    let sum = fnv1a(&buf[start..]);
-    buf.put_u64_le(sum);
+    let body = body.into_bytes();
+    let mut w = Writer::default();
+    // cast: record bodies are KiB-scale, far below u32::MAX
+    w.u32(body.len() as u32).bytes(&body).seal()
 }
 
 /// Decode one segment's records, stopping (not failing) at the first byte
@@ -299,179 +266,66 @@ fn scan_segment(
     name_lsn: u64,
     last_lsn: &mut u64,
 ) -> (Vec<WalRecord>, Option<AnnError>) {
-    let context = |records: &[WalRecord], check: IntegrityCheck, detail: String| {
-        Some(AnnError::corrupt_wal(path, records.last().map(|r| r.lsn), check, detail))
-    };
-    let Some(header) = bytes.get(..WAL_HEADER_LEN) else {
-        return (
-            Vec::new(),
-            context(
-                &[],
-                IntegrityCheck::Truncated,
-                format!(
-                    "{} bytes is shorter than the {WAL_HEADER_LEN}-byte segment header",
-                    bytes.len()
-                ),
-            ),
-        );
-    };
-    let mut h = header;
-    if h.get_u32_le() != WAL_MAGIC {
-        return (Vec::new(), context(&[], IntegrityCheck::Magic, "segment bad magic".into()));
-    }
-    let version = h.get_u16_le();
-    if version != WAL_VERSION {
-        return (
-            Vec::new(),
-            context(
-                &[],
-                IntegrityCheck::Version,
-                format!("segment version {version} unsupported (this build reads {WAL_VERSION})"),
-            ),
-        );
-    }
-    let _reserved = h.get_u16_le();
-    let shard = h.get_u32_le();
-    let _reserved2 = h.get_u32_le();
-    let first_lsn = h.get_u64_le();
-    let declared = h.get_u64_le();
-    let Some(checked) = header.get(..24) else {
-        return (Vec::new(), context(&[], IntegrityCheck::Truncated, "short header".into()));
-    };
-    if fnv1a(checked) != declared {
-        return (
-            Vec::new(),
-            context(&[], IntegrityCheck::Checksum, "segment header checksum mismatch".into()),
-        );
-    }
-    if first_lsn != name_lsn {
-        return (
-            Vec::new(),
-            context(
-                &[],
-                IntegrityCheck::Bounds,
-                format!("segment named lsn {name_lsn} declares first lsn {first_lsn}"),
-            ),
-        );
-    }
-    let mut records: Vec<WalRecord> = Vec::new();
-    let mut pos = WAL_HEADER_LEN;
-    while pos < bytes.len() {
-        let Some(len_bytes) = bytes.get(pos..pos + 4) else {
-            let d = context(
-                &records,
-                IntegrityCheck::Truncated,
-                "torn tail inside a record length prefix".into(),
-            );
-            return (records, d);
-        };
-        let mut lb = [0u8; 4];
-        lb.copy_from_slice(len_bytes);
-        let body_len = u32::from_le_bytes(lb) as usize;
-        if body_len < RECORD_FIXED_LEN {
-            let d = context(
-                &records,
-                IntegrityCheck::Bounds,
-                format!(
-                    "record body of {body_len} bytes is shorter than the fixed {RECORD_FIXED_LEN}"
-                ),
-            );
-            return (records, d);
-        }
-        let Some(frame) = bytes.get(pos..pos + 4 + body_len + 8) else {
-            let d = context(
-                &records,
-                IntegrityCheck::Truncated,
-                "torn tail inside a record body".into(),
-            );
-            return (records, d);
-        };
-        let (checked, trailer) = frame.split_at(4 + body_len);
-        let mut t8 = [0u8; 8];
-        t8.copy_from_slice(trailer);
-        if fnv1a(checked) != u64::from_le_bytes(t8) {
-            let d = context(&records, IntegrityCheck::Checksum, "record checksum mismatch".into());
-            return (records, d);
-        }
-        match decode_body(&checked[4..], shard) {
-            Ok(rec) => {
-                if rec.lsn <= *last_lsn {
-                    let d = context(
-                        &records,
-                        IntegrityCheck::Bounds,
-                        format!("lsn {} does not advance past {last_lsn}", rec.lsn),
-                    );
-                    return (records, d);
-                }
-                *last_lsn = rec.lsn;
-                records.push(rec);
-            }
-            Err((check, detail)) => {
-                let d = context(&records, check, detail);
-                return (records, d);
-            }
-        }
-        pos += 4 + body_len + 8;
-    }
-    (records, None)
+    let mut records = Vec::new();
+    let damage = scan_records(bytes, name_lsn, last_lsn, &mut records)
+        .err()
+        .map(|(check, d)| AnnError::corrupt_wal(path, records.last().map(|r| r.lsn), check, d));
+    (records, damage)
 }
 
-fn decode_body(
-    body: &[u8],
-    segment_shard: u32,
-) -> std::result::Result<WalRecord, (IntegrityCheck, String)> {
-    let mut b = body;
-    let lsn = b.get_u64_le();
-    let shard = b.get_u32_le();
-    let op = b.get_u8();
-    let external = b.get_u64_le();
-    if shard != segment_shard {
-        return Err((
-            IntegrityCheck::Bounds,
-            format!("record stamped shard {shard} inside a shard-{segment_shard} segment"),
-        ));
+fn scan_records(
+    bytes: &[u8],
+    name_lsn: u64,
+    last_lsn: &mut u64,
+    records: &mut Vec<WalRecord>,
+) -> codec::Result<()> {
+    let mut seg = Reader::new(bytes);
+    let (_, mut h) = codec::open(seg.take(WAL_HEADER_LEN)?, &SEGMENT)?;
+    h.u16()?; // reserved
+    let (shard, _reserved, first_lsn) = (h.u32()?, h.u32()?, h.u64()?);
+    if first_lsn != name_lsn {
+        let detail = format!("segment named lsn {name_lsn} declares first lsn {first_lsn}");
+        return Err((IntegrityCheck::Bounds, detail));
     }
-    match op {
-        OP_DELETE => {
-            if b.remaining() > 0 {
-                return Err((
-                    IntegrityCheck::Bounds,
-                    format!("delete record carries {} trailing bytes", b.remaining()),
-                ));
-            }
-            Ok(WalRecord { lsn, shard, op: WalOp::Delete { external } })
+    while !seg.is_empty() {
+        // A record frame is `body_len (u32) ++ body`, sealed: peek at the
+        // length to find where the frame ends.
+        let body_len = { seg }.u32()? as usize;
+        let frame = seg.take(body_len.saturating_add(4 + codec::TRAILER))?;
+        let mut r = codec::unseal(frame, "record", 4 + codec::TRAILER)?;
+        r.u32()?; // body_len
+        let rec = decode_body(r, shard)?;
+        if rec.lsn <= *last_lsn {
+            let detail = format!("lsn {} does not advance past {last_lsn}", rec.lsn);
+            return Err((IntegrityCheck::Bounds, detail));
         }
+        *last_lsn = rec.lsn;
+        records.push(rec);
+    }
+    Ok(())
+}
+
+fn decode_body(mut r: Reader, segment_shard: u32) -> codec::Result<WalRecord> {
+    let (lsn, shard, op, external) = (r.u64()?, r.u32()?, r.u8()?, r.u64()?);
+    if shard != segment_shard {
+        let detail = format!("record stamped shard {shard} inside a shard-{segment_shard} segment");
+        return Err((IntegrityCheck::Bounds, detail));
+    }
+    let op = match op {
+        OP_DELETE => WalOp::Delete { external },
         OP_INSERT => {
-            if b.remaining() < 4 {
-                return Err((IntegrityCheck::Truncated, "insert record missing dimension".into()));
-            }
-            let dim = b.get_u32_le() as usize;
-            if dim.checked_mul(4) != Some(b.remaining()) {
-                return Err((
-                    IntegrityCheck::Bounds,
-                    format!("insert record declares {dim} dims, {} payload bytes", b.remaining()),
-                ));
-            }
-            let mut vector = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                vector.push(b.get_f32_le());
-            }
-            Ok(WalRecord { lsn, shard, op: WalOp::Insert { external, vector } })
+            let dim = r.u32()? as usize;
+            WalOp::Insert { external, vector: r.f32s(dim)? }
         }
         OP_SET_ATTRS => {
-            let mut rest: &[u8] = b;
-            let attrs = crate::filter::decode_attrs(&mut rest)
-                .map_err(|e| (IntegrityCheck::Payload, format!("set-attrs record: {e}")))?;
-            if !rest.is_empty() {
-                return Err((
-                    IntegrityCheck::Bounds,
-                    format!("set-attrs record carries {} trailing bytes", rest.len()),
-                ));
-            }
-            Ok(WalRecord { lsn, shard, op: WalOp::SetAttrs { external, attrs } })
+            let attrs = crate::filter::decode_attrs(&mut r)
+                .map_err(|(_, e)| (IntegrityCheck::Payload, format!("set-attrs record: {e}")))?;
+            WalOp::SetAttrs { external, attrs }
         }
-        other => Err((IntegrityCheck::Payload, format!("unknown wal op {other}"))),
-    }
+        other => return Err((IntegrityCheck::Payload, format!("unknown wal op {other}"))),
+    };
+    r.finish()?;
+    Ok(WalRecord { lsn, shard, op })
 }
 
 #[derive(Debug)]
@@ -637,16 +491,15 @@ impl ShardWal {
     fn append(&mut self, op: WalOp) -> Result<u64> {
         let lsn = self.next_lsn;
         self.next_lsn = lsn + 1;
-        let mut data = BytesMut::new();
+        let mut data = Vec::new();
         if !matches!(&self.active, Some(a) if !a.damaged) {
             if let Some(a) = self.active.take() {
                 self.sealed.push((a.first_lsn, self.segment_path(a.first_lsn), a.len));
             }
-            encode_header(&mut data, self.shard, lsn);
+            data = encode_header(self.shard, lsn);
             self.active = Some(ActiveSegment { first_lsn: lsn, len: 0, damaged: false });
         }
-        let rec = WalRecord { lsn, shard: self.shard, op };
-        encode_record(&mut data, &rec);
+        data.extend_from_slice(&encode_record(&WalRecord { lsn, shard: self.shard, op }));
         let (path, offset) = match &self.active {
             Some(a) => (self.segment_path(a.first_lsn), a.len),
             // Unreachable: the rotation above always leaves an active segment.

@@ -4,18 +4,20 @@
 //!   by the paper's evaluation pipeline: each row is a little-endian `i32`
 //!   dimension followed by `dim` payload elements (`f32` or `i32`). Supported
 //!   so the suite can run on the real corpora when they are available.
-//! * **vstore** — this workspace's own binary snapshot of a [`VecStore`]
-//!   (+ metric), versioned and checksummed, built with `bytes`.
+//! * **vstore** (`VST0`) — this workspace's own binary snapshot of a
+//!   [`VecStore`] (+ metric), one [`crate::codec`] frame.
 
+use crate::codec::{self, Format};
 use crate::error::{AnnError, IntegrityCheck, Result};
 use crate::metric::Metric;
 use crate::store::VecStore;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
-const VSTORE_MAGIC: u32 = 0x5653_5430; // "VST0"
-const VSTORE_VERSION: u16 = 1;
+pub use crate::codec::fnv1a;
+
+const VSTORE: Format =
+    Format { name: "vstore", magic: 0x5653_5430, version: 1, oldest: 1, min_len: 32 };
 
 /// Uniquifies temp-file names when several threads write through
 /// [`write_atomic`] into the same directory.
@@ -161,64 +163,28 @@ pub fn write_ivecs(path: &Path, rows: &[Vec<u32>]) -> Result<()> {
     write_atomic(path, &data)
 }
 
-/// Serialize a store (with its metric) to the versioned `vstore` format.
-pub fn vstore_to_bytes(store: &VecStore, metric: Metric) -> Bytes {
-    let mut buf = BytesMut::with_capacity(24 + store.as_flat().len() * 4);
-    buf.put_u32_le(VSTORE_MAGIC);
-    buf.put_u16_le(VSTORE_VERSION);
-    buf.put_u8(metric.tag());
-    buf.put_u8(0); // reserved
-    buf.put_u64_le(store.dim() as u64);
-    buf.put_u64_le(store.len() as u64);
-    for &x in store.as_flat() {
-        buf.put_f32_le(x);
-    }
-    let checksum = fnv1a(&buf);
-    buf.put_u64_le(checksum);
-    buf.freeze()
+/// Serialize a store (with its metric) to the versioned `vstore` format:
+/// `VST0` header | metric tag (u8) | reserved (u8) | dim (u64) | n (u64) |
+/// `n × dim` f32, sealed.
+pub fn vstore_to_bytes(store: &VecStore, metric: Metric) -> Vec<u8> {
+    let mut w = VSTORE.writer(18 + store.as_flat().len() * 4);
+    w.u8(metric.tag()).u8(0).u64(store.dim() as u64).u64(store.len() as u64);
+    w.f32s(store.as_flat()).seal()
 }
 
-/// Deserialize a `vstore` buffer, validating magic, version and checksum.
-pub fn vstore_from_bytes(buf: &[u8]) -> Result<(VecStore, Metric)> {
-    vstore_checked(buf).map_err(|(_, detail)| AnnError::CorruptIndex(detail))
-}
-
-/// The `vstore` parser with the failing [`IntegrityCheck`] attached, so
-/// file-level loaders can report which validation step rejected the data.
-pub(crate) fn vstore_checked(
-    mut buf: &[u8],
-) -> std::result::Result<(VecStore, Metric), (IntegrityCheck, String)> {
-    if buf.len() < 24 + 8 {
-        return Err((IntegrityCheck::Truncated, "vstore buffer too short".into()));
-    }
-    let (body, tail) = buf.split_at(buf.len() - 8);
-    let expect = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    if fnv1a(body) != expect {
-        return Err((IntegrityCheck::Checksum, "vstore checksum mismatch".into()));
-    }
-    buf = body;
-    if buf.get_u32_le() != VSTORE_MAGIC {
-        return Err((IntegrityCheck::Magic, "vstore bad magic".into()));
-    }
-    let version = buf.get_u16_le();
-    if version != VSTORE_VERSION {
-        return Err((IntegrityCheck::Version, format!("vstore version {version} unsupported")));
-    }
-    let metric = Metric::from_tag(buf.get_u8())
+/// Deserialize a `vstore` buffer, validating checksum, magic, version and
+/// the header's promise about the payload.
+///
+/// # Errors
+/// The failing [`IntegrityCheck`] with a detail.
+pub fn vstore_from_bytes(buf: &[u8]) -> codec::Result<(VecStore, Metric)> {
+    let (_, mut r) = codec::open(buf, &VSTORE)?;
+    let metric = Metric::from_tag(r.u8()?)
         .ok_or((IntegrityCheck::Bounds, "vstore unknown metric tag".to_string()))?;
-    let _reserved = buf.get_u8();
-    let dim = buf.get_u64_le() as usize;
-    let n = buf.get_u64_le() as usize;
-    if buf.remaining() != dim * n * 4 {
-        return Err((
-            IntegrityCheck::Bounds,
-            format!("vstore payload is {} bytes, header promises {}", buf.remaining(), dim * n * 4),
-        ));
-    }
-    let mut data = Vec::with_capacity(dim * n);
-    for _ in 0..dim * n {
-        data.push(buf.get_f32_le());
-    }
+    r.u8()?; // reserved
+    let (dim, n) = (r.count()?, r.count()?);
+    let data = r.f32s(dim.saturating_mul(n))?;
+    r.finish()?;
     let store = VecStore::from_flat(dim, data)
         .map_err(|e| (IntegrityCheck::Payload, format!("vstore payload rejected: {e}")))?;
     Ok((store, metric))
@@ -236,19 +202,8 @@ pub fn save_vstore(path: &Path, store: &VecStore, metric: Metric) -> Result<()> 
 /// validation failure; `Io` on filesystem errors.
 pub fn load_vstore(path: &Path) -> Result<(VecStore, Metric)> {
     let buf = std::fs::read(path)?;
-    vstore_checked(&buf)
+    vstore_from_bytes(&buf)
         .map_err(|(check, detail)| AnnError::corrupt_file(path, None, check, detail))
-}
-
-/// FNV-1a, the workspace-standard integrity checksum (fast, dependency-free;
-/// this is corruption detection, not cryptography).
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -317,15 +272,15 @@ mod tests {
     #[test]
     fn vstore_detects_bitflip() {
         let s = sample_store();
-        let mut b = vstore_to_bytes(&s, Metric::L2).to_vec();
+        let mut b = vstore_to_bytes(&s, Metric::L2);
         let mid = b.len() / 2;
         b[mid] ^= 0x40;
-        assert!(matches!(vstore_from_bytes(&b), Err(AnnError::CorruptIndex(_))));
+        assert!(matches!(vstore_from_bytes(&b), Err((IntegrityCheck::Checksum, _))));
     }
 
     #[test]
     fn vstore_rejects_short_buffer() {
-        assert!(vstore_from_bytes(&[0u8; 5]).is_err());
+        assert!(matches!(vstore_from_bytes(&[0u8; 5]), Err((IntegrityCheck::Truncated, _))));
     }
 
     #[test]
@@ -372,11 +327,5 @@ mod tests {
             }
             other => panic!("expected CorruptFile, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn fnv1a_distinguishes_inputs() {
-        assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
     }
 }

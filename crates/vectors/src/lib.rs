@@ -18,11 +18,13 @@
 //! * [`gt`] + [`accuracy`] — exact answers, recall@k and rderr@k;
 //! * [`parallel`] — dynamic-block `parallel_for`/`parallel_map` on scoped
 //!   threads (the approved dependency set has no rayon);
+//! * [`codec`] — the one checksummed frame codec every on-disk format uses;
 //! * [`io`] — fvecs/ivecs interchange plus a checksummed binary snapshot.
 
 #![forbid(unsafe_code)]
 
 pub mod accuracy;
+pub mod codec;
 pub mod error;
 pub mod gt;
 pub mod io;
