@@ -69,7 +69,8 @@ pub use index::TauIndex;
 pub use mng::{build_tau_mng, TauMngParams};
 pub use prune::tau_prune;
 pub use search::{
-    tau_greedy_nn, tau_search, tau_search_filtered, tau_search_with_beam, TauSearchOptions,
+    tau_greedy_nn, tau_search, tau_search_filtered, tau_search_planned, tau_search_with_beam,
+    FilterPlan, TauSearchOptions, SCAN_FACTOR,
 };
 
 #[cfg(test)]

@@ -22,8 +22,8 @@ pub mod serialize;
 pub mod visited;
 
 pub use adjacency::{FlatGraph, GraphView, VarGraph};
-pub use filter::{widened_beam, AcceptAll, FnFilter, SearchFilter, MAX_WIDEN_FACTOR};
-pub use index::{AnnIndex, BruteForceIndex, FrozenGraphIndex, GraphStats, QueryResult};
+pub use filter::{widened_beam, AcceptAll, BitFilter, FnFilter, SearchFilter, MAX_WIDEN_FACTOR};
+pub use index::{exact_scan, AnnIndex, BruteForceIndex, FrozenGraphIndex, GraphStats, QueryResult};
 pub use pool::{Candidate, Pool};
 pub use relayout::{bfs_order, invert_order};
 pub use scratch_pool::ScratchPool;
