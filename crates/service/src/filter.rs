@@ -5,9 +5,10 @@
 //! log (a dedicated record type, replayed idempotently by LSN), persisted
 //! in the SNP1 v3 envelope's attribute section, and served read-only from
 //! every [`crate::Snapshot`]. Queries restrict results with a
-//! [`FilterExpr`] — evaluated *during* beam search via the
-//! [`ann_graph::SearchFilter`] machinery, so non-matching vectors still
-//! steer the traversal but never occupy a result slot.
+//! [`FilterExpr`], which a snapshot compiles into one bit per point from its
+//! [`AttrPostings`]; the search then scans the admitted points or walks the
+//! graph, where non-matching vectors still steer the traversal but never
+//! occupy a result slot.
 //!
 //! The binary attribute layout lives here because two independent
 //! persistence layers share it byte-for-byte: the WAL `SetAttrs` record
@@ -16,13 +17,14 @@
 
 use ann_vectors::codec::{self, Reader, Writer};
 use ann_vectors::error::{AnnError, IntegrityCheck, Result};
+use std::collections::HashMap;
 
 /// One typed attribute value.
 ///
 /// Deliberately small: equality-filterable scalars only. Range predicates
 /// and full-text filtering are different machines; the point here is
 /// low-cardinality tenant/category/flag metadata.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AttrValue {
     /// Unsigned integer (ids, timestamps, enums).
     U64(u64),
@@ -142,6 +144,100 @@ impl FilterExpr {
     }
 }
 
+/// The inverted attribute index of one snapshot: for every key and value,
+/// the internal ids whose record carries that pair, ascending.
+///
+/// Built once per snapshot, on its first attribute-filtered query, in one
+/// pass over the records. Compiling a [`FilterExpr`] from it then costs the
+/// ids the expression names plus a few word operations per 64 points; no
+/// record is looked up and no predicate is called per point, so a query
+/// with a never-seen expression costs about what a repeated one does.
+#[derive(Debug, Default)]
+pub(crate) struct AttrPostings {
+    rows: usize,
+    by_key: HashMap<String, HashMap<AttrValue, Vec<u32>>>,
+}
+
+impl AttrPostings {
+    /// Postings over internal ids `0..external_ids.len()`, where internal
+    /// id `i` carries the record of `external_ids[i]`.
+    pub(crate) fn build(external_ids: &[u64], attrs: &HashMap<u64, AttrRecord>) -> Self {
+        let mut by_key: HashMap<String, HashMap<AttrValue, Vec<u32>>> = HashMap::new();
+        for (internal, ext) in external_ids.iter().enumerate() {
+            // cast: internal < external_ids.len(), a u32 node count.
+            let id = internal as u32;
+            for (key, value) in attrs.get(ext).into_iter().flatten() {
+                if let Some(values) = by_key.get_mut(key) {
+                    if let Some(ids) = values.get_mut(value) {
+                        ids.push(id);
+                    } else {
+                        values.insert(value.clone(), vec![id]);
+                    }
+                } else {
+                    by_key.insert(key.clone(), HashMap::from([(value.clone(), vec![id])]));
+                }
+            }
+        }
+        AttrPostings { rows: external_ids.len(), by_key }
+    }
+
+    /// One bit per internal id where `expr` holds (bit `i % 64` of word
+    /// `i / 64` for id `i`; no bit at or past the row count is set). Agrees
+    /// with [`FilterExpr::matches`] on every row's record.
+    pub(crate) fn eval(&self, expr: &FilterExpr) -> Vec<u64> {
+        let mut words = vec![0u64; self.rows.div_ceil(64)];
+        match expr {
+            FilterExpr::Eq(key, value) => self.set(&mut words, key, std::slice::from_ref(value)),
+            FilterExpr::OneOf(key, values) => self.set(&mut words, key, values),
+            FilterExpr::Exists(key) => {
+                for ids in self.by_key.get(key).into_iter().flat_map(HashMap::values) {
+                    set_bits(&mut words, ids);
+                }
+            }
+            FilterExpr::And(subs) => {
+                words = self.all();
+                for sub in subs {
+                    words.iter_mut().zip(self.eval(sub)).for_each(|(w, s)| *w &= s);
+                }
+            }
+            FilterExpr::Or(subs) => {
+                for sub in subs {
+                    words.iter_mut().zip(self.eval(sub)).for_each(|(w, s)| *w |= s);
+                }
+            }
+            FilterExpr::Not(sub) => {
+                words = self.eval(sub);
+                words.iter_mut().zip(self.all()).for_each(|(w, all)| *w ^= all);
+            }
+        }
+        words
+    }
+
+    /// Sets the bits of the ids carrying `key` with any of `values`.
+    fn set(&self, words: &mut [u64], key: &str, values: &[AttrValue]) {
+        if let Some(by_value) = self.by_key.get(key) {
+            for ids in values.iter().filter_map(|v| by_value.get(v)) {
+                set_bits(words, ids);
+            }
+        }
+    }
+
+    /// Every row's bit set.
+    fn all(&self) -> Vec<u64> {
+        let mut words = vec![u64::MAX; self.rows.div_ceil(64)];
+        if let (Some(last), tail @ 1..) = (words.last_mut(), self.rows % 64) {
+            *last = (1u64 << tail) - 1;
+        }
+        words
+    }
+}
+
+fn set_bits(words: &mut [u64], ids: &[u32]) {
+    for &id in ids {
+        words[id as usize / 64] |= 1 << (id % 64);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Binary layout — shared by the WAL `SetAttrs` record body and the SNP1 v3
 // envelope attribute section, both of which frame it (all little-endian):
@@ -240,6 +336,53 @@ mod tests {
         let too_many: AttrRecord =
             (0..=MAX_ATTR_KEYS).map(|i| (format!("k{i:03}"), AttrValue::U64(0))).collect();
         assert!(normalize_attrs(too_many).is_err());
+    }
+
+    #[test]
+    fn postings_compile_every_expression_as_matches_evaluates_it() {
+        // 130 rows (a partial last word), externals in reverse internal
+        // order, rows with no record, several keys, one typed collision.
+        let n = 130u64;
+        let external_ids: Vec<u64> = (0..n).rev().collect();
+        let attrs: HashMap<u64, AttrRecord> = (0..n)
+            .filter(|e| e % 7 != 0)
+            .map(|e| {
+                let mut pairs = vec![("tier", AttrValue::U64(e % 5))];
+                if e % 3 == 0 {
+                    pairs.push(("color", AttrValue::Str(["red", "blue"][(e % 2) as usize].into())));
+                }
+                if e % 11 == 0 {
+                    pairs.push(("flag", AttrValue::Bool(e % 2 == 0)));
+                }
+                (e, rec(&pairs))
+            })
+            .collect();
+        let postings = AttrPostings::build(&external_ids, &attrs);
+        let red = FilterExpr::eq("color", AttrValue::Str("red".into()));
+        let tiers = FilterExpr::OneOf("tier".into(), vec![AttrValue::U64(1), AttrValue::U64(4)]);
+        let exprs = [
+            red.clone(),
+            FilterExpr::eq("tier", AttrValue::Str("3".into())),
+            tiers.clone(),
+            FilterExpr::OneOf("tier".into(), vec![]),
+            FilterExpr::Exists("flag".into()),
+            FilterExpr::Exists("missing".into()),
+            FilterExpr::And(vec![]),
+            FilterExpr::Or(vec![]),
+            FilterExpr::And(vec![red.clone(), tiers.clone()]),
+            FilterExpr::Or(vec![red.clone(), FilterExpr::Exists("flag".into())]),
+            FilterExpr::Not(Box::new(red.clone())),
+            FilterExpr::Not(Box::new(FilterExpr::And(vec![tiers, FilterExpr::Not(Box::new(red))]))),
+        ];
+        for expr in &exprs {
+            let words = postings.eval(expr);
+            assert_eq!(words.len(), 3, "{expr:?}");
+            assert_eq!(words[2] >> 2, 0, "{expr:?}: a bit past the last row is set");
+            for (internal, ext) in external_ids.iter().enumerate() {
+                let bit = (words[internal / 64] >> (internal % 64)) & 1 == 1;
+                assert_eq!(bit, expr.matches(attrs.get(ext)), "{expr:?} on external {ext}");
+            }
+        }
     }
 
     #[test]
