@@ -5,7 +5,7 @@
 //! | format | encoder |
 //! |---|---|
 //! | `VST0` | `vstore_to_bytes` × {L2, Ip, Cosine} |
-//! | `GRF1` | `graph_to_bytes`, a τ-MNG graph and the empty graph |
+//! | `GRF1` | `graph_to_bytes`: τ-MNG, NSG, SSG, Vamana, a dynamically inserted τ-MNG and the empty graph |
 //! | `TMG1` | `TauIndex::to_bytes`, τ-MNG and exact τ-MG |
 //! | `HNW1` | `Hnsw::to_bytes` |
 //! | `SNP1` | `SnapshotStore::persist`, v3 with attributes |
@@ -19,14 +19,18 @@ use ann_suite::ann_graph::serialize::{graph_from_bytes, graph_to_bytes};
 use ann_suite::ann_graph::{FlatGraph, VarGraph};
 use ann_suite::ann_hnsw::{Hnsw, HnswParams};
 use ann_suite::ann_knng::brute_force_knn_graph;
+use ann_suite::ann_nsg::{build_nsg, build_ssg, NsgParams, SsgParams};
 use ann_suite::ann_service::{
     normalize_attrs, read_wal_dir, AttrValue, DurabilityMode, IndexWriter, Metrics, RealFs,
     ShardWal, SnapshotFs, SnapshotStore, SnapshotStoreConfig, WalOp,
 };
+use ann_suite::ann_vamana::{build_vamana, VamanaParams};
 use ann_suite::ann_vectors::io::{fnv1a, vstore_from_bytes, vstore_to_bytes};
 use ann_suite::ann_vectors::synthetic::uniform;
 use ann_suite::ann_vectors::{Metric, VecStore};
-use ann_suite::tau_mg::{build_tau_mg, build_tau_mng, TauIndex, TauMgParams, TauMngParams};
+use ann_suite::tau_mg::{
+    build_tau_mg, build_tau_mng, DynamicTauMng, TauIndex, TauMgParams, TauMngParams,
+};
 use std::path::PathBuf;
 use std::sync::{Arc, Once};
 
@@ -77,12 +81,52 @@ fn vst0_per_metric() {
     }
 }
 
+/// Every point of `store` inserted one at a time into a `DynamicTauMng`
+/// whose degree cap (6) is far below what the τ rule keeps on this corpus,
+/// so many reverse-edge offers overflow a full list and re-prune it — the
+/// serving write path — then compacted into a frozen index.
+fn dynamic_tau_mng(store: &VecStore) -> TauIndex {
+    let params = TauMngParams { r: 6, ..PARAMS };
+    let mut dynamic = DynamicTauMng::new(store.dim(), Metric::L2, params).unwrap();
+    for i in 0..store.len() as u32 {
+        dynamic.insert(store.get(i)).unwrap();
+    }
+    dynamic.compact().unwrap().0
+}
+
 #[test]
 fn grf1_tau_graph_and_empty_graph() {
-    let index = tau_mng(&base());
+    let store = base();
+    let index = tau_mng(&store);
+    let knn = brute_force_knn_graph(Metric::L2, &store, 8).unwrap();
+    let nsg = build_nsg(
+        Arc::clone(&store),
+        Metric::L2,
+        &knn,
+        NsgParams { r: PARAMS.r, l: PARAMS.l, c: PARAMS.c },
+    )
+    .unwrap();
+    let ssg = build_ssg(
+        Arc::clone(&store),
+        Metric::L2,
+        &knn,
+        SsgParams { r: PARAMS.r, c: PARAMS.c, l: PARAMS.l, ..Default::default() },
+    )
+    .unwrap();
+    let vamana = build_vamana(
+        Arc::clone(&store),
+        Metric::L2,
+        VamanaParams { r: 8, l: PARAMS.l, ..Default::default() },
+    )
+    .unwrap();
+    let dynamic = dynamic_tau_mng(&store);
     let empty = FlatGraph::freeze(&VarGraph::new(0), None);
     for (name, g, want) in [
         ("GRF1 tau-MNG", index.graph(), 0x4de5_cdb7_c341_92b5),
+        ("GRF1 NSG", nsg.graph(), 0x167b_0183_07cc_6ff4),
+        ("GRF1 SSG", ssg.graph(), 0x15a6_4a68_0b3c_4078),
+        ("GRF1 Vamana", vamana.graph(), 0x2ccd_6bca_5717_8945),
+        ("GRF1 dynamic tau-MNG", dynamic.graph(), 0xd582_9af6_150d_0d04),
         ("GRF1 empty", &empty, 0x4ccb_da4e_024c_f5bb),
     ] {
         let bytes = graph_to_bytes(g);
