@@ -758,6 +758,23 @@ pub mod atomic {
                     self.inner.compare_exchange(current, new, success, failure)
                 }
 
+                /// Compare-and-swap allowed to fail spuriously, like `std`'s.
+                /// Implemented as the strong exchange (a weak CAS that never
+                /// fails spuriously is a valid one), so schedules stay
+                /// reproducible.
+                ///
+                /// # Errors
+                /// The actual value when it differed from `current`.
+                pub fn compare_exchange_weak(
+                    &self,
+                    current: $prim,
+                    new: $prim,
+                    success: Ordering,
+                    failure: Ordering,
+                ) -> Result<$prim, $prim> {
+                    self.compare_exchange(current, new, success, failure)
+                }
+
                 /// Fetch-update loop with `std` semantics.
                 ///
                 /// # Errors
