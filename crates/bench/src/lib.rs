@@ -236,7 +236,7 @@ pub mod params {
 
     /// HNSW at the grid's operating point.
     pub fn hnsw() -> HnswParams {
-        HnswParams { m: 24, ef_construction: 256, seed: REPRO_SEED, keep_pruned: true }
+        HnswParams { m: 24, ef_construction: 256, seed: REPRO_SEED }
     }
 
     /// NSG at the grid's operating point.

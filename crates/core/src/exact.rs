@@ -10,7 +10,7 @@
 use crate::geometry::{check_unit_norm, EuclideanView};
 use crate::index::TauIndex;
 use crate::prune::tau_prune;
-use ann_graph::{FlatGraph, VarGraph};
+use ann_graph::{by_distance, FlatGraph, VarGraph};
 use ann_vectors::error::{AnnError, Result};
 use ann_vectors::metric::Metric;
 use ann_vectors::parallel::{num_threads, parallel_map};
@@ -69,15 +69,11 @@ pub fn build_tau_mg(store: Arc<VecStore>, metric: Metric, params: TauMgParams) -
             .filter(|&i| i != p)
             .map(|i| (metric.distance(vp, store.get(i)), i))
             .collect();
-        cands.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        cands.sort_by(by_distance);
         tau_prune(&store, view, &cands, cap, params.tau)
     });
 
-    let mut graph = VarGraph::new(n);
-    for (u, list) in lists.into_iter().enumerate() {
-        graph.set_neighbors(u as u32, list); // cast: u < n fits u32
-    }
-    let flat = FlatGraph::freeze(&graph, None);
+    let flat = FlatGraph::freeze(&VarGraph::from(lists), None);
     Ok(TauIndex::assemble(store, metric, view, flat, entry, params.tau, "tau-MG"))
 }
 

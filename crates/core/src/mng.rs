@@ -4,8 +4,9 @@
 //! MRNG: enforce the τ-monotonic selection rule only over each node's
 //! *local* candidate neighborhood instead of all n points.
 //!
-//! Pipeline (shared with NSG via `ann-nsg`, differing only in the pruning
-//! rule):
+//! Pipeline (NSG's, run by [`ann_nsg::refine`]; only the pruning rule
+//! differs, and at τ = 0 it is MRNG's, so with equal R, L and C the build
+//! gives NSG's graph — `tests/pipeline_comparison.rs` checks this):
 //!
 //! 1. approximate kNN graph (NN-Descent or brute force);
 //! 2. per-node candidate acquisition — beam search for the node from the
@@ -17,14 +18,11 @@
 use crate::geometry::{check_unit_norm, EuclideanView};
 use crate::index::TauIndex;
 use crate::prune::tau_prune;
-use ann_graph::{FlatGraph, Scratch, VarGraph};
 use ann_knng::KnnGraph;
-use ann_nsg::{acquire_candidates, inter_insert, repair_connectivity};
+use ann_nsg::{refine, search_candidates};
 use ann_vectors::error::{AnnError, Result};
 use ann_vectors::metric::Metric;
-use ann_vectors::parallel::num_threads;
 use ann_vectors::VecStore;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// τ-MNG construction parameters.
@@ -58,16 +56,6 @@ pub fn build_tau_mng(
     knn: &KnnGraph,
     params: TauMngParams,
 ) -> Result<TauIndex> {
-    if store.is_empty() {
-        return Err(AnnError::EmptyDataset);
-    }
-    if knn.num_nodes() != store.len() {
-        return Err(AnnError::InvalidParameter(format!(
-            "kNN graph covers {} nodes, store has {}",
-            knn.num_nodes(),
-            store.len()
-        )));
-    }
     if params.r == 0 || params.l == 0 || params.c == 0 {
         return Err(AnnError::InvalidParameter("tau-MNG parameters must be positive".into()));
     }
@@ -81,71 +69,23 @@ pub fn build_tau_mng(
     if view == EuclideanView::UnitSphere {
         check_unit_norm(&store, 1e-3)?;
     }
-    let n = store.len();
-    let entry = store.medoid(metric)?;
-    let base = knn.to_var_graph();
-
-    // Phase 1 (parallel): candidate acquisition + τ pruning.
-    let forward: Vec<std::sync::Mutex<Vec<u32>>> =
-        (0..n).map(|_| std::sync::Mutex::new(Vec::new())).collect();
-    let cursor = AtomicUsize::new(0);
-    let threads = num_threads();
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|| {
-                let mut scratch = Scratch::new(n);
-                loop {
-                    let p = cursor.fetch_add(1, Ordering::Relaxed);
-                    if p >= n {
-                        break;
-                    }
-                    let p = p as u32; // cast: node count fits u32
-                    let extra: Vec<(f32, u32)> = knn
-                        .neighbors(p)
-                        .iter()
-                        .zip(knn.dists(p))
-                        .map(|(&id, &d)| (d, id))
-                        .collect();
-                    let cands = acquire_candidates(
-                        &store,
-                        metric,
-                        &base,
-                        entry,
-                        p,
-                        params.l,
-                        params.c,
-                        &extra,
-                        &mut scratch,
-                    );
-                    let selected = tau_prune(&store, view, &cands, params.r, params.tau);
-                    *forward[p as usize].lock().unwrap() = selected;
-                }
-            });
-        }
-    });
-    let forward: Vec<Vec<u32>> = forward.into_iter().map(|m| m.into_inner().unwrap()).collect();
-
-    // Phase 2: reverse edges under the τ rule.
-    let lists = inter_insert(&store, metric, &forward, params.r, |_q, cands| {
-        tau_prune(&store, view, cands, params.r, params.tau)
-    });
-
-    // Phase 3: connectivity repair.
-    let mut graph = VarGraph::new(n);
-    for (u, list) in lists.into_iter().enumerate() {
-        graph.set_neighbors(u as u32, list); // cast: u < n fits u32
-    }
-    repair_connectivity(&mut graph, &store, metric, entry, params.l, params.r);
-
-    let flat = FlatGraph::freeze(&graph, None);
-    Ok(TauIndex::assemble(store, metric, view, flat, entry, params.tau, "tau-MNG"))
+    let (graph, entry) = refine(
+        &store,
+        metric,
+        knn,
+        params.r,
+        params.l,
+        search_candidates(&store, metric, knn, params.l, params.c),
+        |_p, cands| tau_prune(&store, view, cands, params.r, params.tau),
+    )?;
+    Ok(TauIndex::assemble(store, metric, view, graph, entry, params.tau, "tau-MNG"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ann_graph::connectivity::fully_reachable;
-    use ann_graph::{AnnIndex, GraphView};
+    use ann_graph::{AnnIndex, GraphView, Scratch};
     use ann_knng::brute_force_knn_graph;
     use ann_vectors::accuracy::mean_recall_at_k;
     use ann_vectors::brute_force_ground_truth;

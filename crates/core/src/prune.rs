@@ -24,9 +24,11 @@
 //! All distances here are Euclidean (see [`crate::geometry`]).
 
 use crate::geometry::EuclideanView;
+use ann_graph::select;
 use ann_vectors::VecStore;
 
-/// Apply the τ-MG selection rule to candidates of node `p`.
+/// Apply the τ-MG selection rule to candidates of node `p`: the one greedy
+/// loop ([`ann_graph::select()`]) with the shrunken-lune predicate.
 ///
 /// `candidates` are `(dissimilarity, id)` pairs sorted ascending (the
 /// ordering is the same in dissimilarity and Euclidean units); they must not
@@ -39,27 +41,13 @@ pub fn tau_prune(
     r_cap: usize,
     tau: f32,
 ) -> Vec<u32> {
-    debug_assert!(candidates.windows(2).all(|w| w[0].0 <= w[1].0));
     debug_assert!(tau >= 0.0);
     let slack = 3.0 * tau;
-    // Selected neighbors with their Euclidean distance from p.
-    let mut selected: Vec<(f32, u32)> = Vec::new();
-    for &(dissim, c) in candidates {
-        if selected.len() >= r_cap {
-            break;
-        }
-        if selected.iter().any(|&(_, s)| s == c) {
-            continue;
-        }
-        let d_pc = view.to_euclidean(dissim);
-        // Processing in ascending order guarantees d(p, s) ≤ d(p, c) for all
-        // selected s, so only the shrunken-lune condition needs checking.
-        let occluded = selected.iter().any(|&(_, s)| view.dist_eu(store, s, c) < d_pc - slack);
-        if !occluded {
-            selected.push((d_pc, c));
-        }
-    }
-    selected.into_iter().map(|(_, c)| c).collect()
+    let euclidean: Vec<(f32, u32)> =
+        candidates.iter().map(|&(dissim, c)| (view.to_euclidean(dissim), c)).collect();
+    // Processing in ascending order guarantees d(p, s) ≤ d(p, c) for all
+    // selected s, so only the shrunken-lune condition needs checking.
+    select(&euclidean, r_cap, |(_, s), (d_pc, c)| view.dist_eu(store, s, c) < d_pc - slack)
 }
 
 #[cfg(test)]

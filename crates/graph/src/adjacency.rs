@@ -84,6 +84,13 @@ impl VarGraph {
     }
 }
 
+impl From<Vec<Vec<u32>>> for VarGraph {
+    /// A graph whose node `u` has out-list `adj[u]`.
+    fn from(adj: Vec<Vec<u32>>) -> Self {
+        VarGraph { adj }
+    }
+}
+
 impl GraphView for VarGraph {
     #[inline]
     fn num_nodes(&self) -> usize {

@@ -6,6 +6,8 @@
 //! ([`scratch_pool`]), the one beam-search traversal core with uniform
 //! NDC/hop accounting ([`search`]), connectivity
 //! repair utilities ([`connectivity`]), binary persistence ([`serialize`]),
+//! the one greedy neighbour-selection loop and reverse-edge offer every
+//! builder prunes with ([`mod@select`]),
 //! and the [`index::AnnIndex`] trait every index in the workspace implements.
 
 #![forbid(unsafe_code)]
@@ -18,6 +20,7 @@ pub mod pool;
 pub mod relayout;
 pub mod scratch_pool;
 pub mod search;
+pub mod select;
 pub mod serialize;
 pub mod visited;
 
@@ -31,6 +34,7 @@ pub use search::{
     beam_search_collect_dyn, beam_search_dyn, beam_search_sq8_rerank, greedy_descent_dyn, traverse,
     DistanceSource, EdgeGate, Exact, NoGate, Scratch, SearchStats,
 };
+pub use select::{by_distance, mrng_occludes, offer_edge, select};
 pub use visited::VisitedSet;
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use crate::params::HnswParams;
 use crate::select::select_neighbors_heuristic;
-use ann_graph::{Pool, VisitedSet};
+use ann_graph::{offer_edge, Pool, VisitedSet};
 use ann_vectors::metric::Metric;
 use ann_vectors::VecStore;
 use parking_lot::{Mutex, RwLock};
@@ -36,12 +36,11 @@ impl BuildState {
     }
 }
 
-/// Per-worker scratch: pool, visited set and neighbor copy buffers.
+/// Per-worker scratch: pool, visited set and neighbor copy buffer.
 struct InsertScratch {
     pool: Pool,
     visited: VisitedSet,
     nbuf: Vec<u32>,
-    cands: Vec<(f32, u32)>,
 }
 
 /// Draw node levels: `floor(-ln(U) · mL)`, capped.
@@ -133,42 +132,24 @@ fn greedy_at_level(
     }
 }
 
-/// Add `u` to `v`'s list at `level`, shrinking with the selection heuristic
-/// when the list exceeds `cap`.
-#[allow(clippy::too_many_arguments)]
+/// Offer `u` to `v`'s list at `level`, shrinking with the selection
+/// heuristic when the list exceeds `cap`.
 fn add_link(
     store: &VecStore,
     metric: Metric,
-    params: &HnswParams,
     state: &BuildState,
     v: u32,
     u: u32,
     level: usize,
     cap: usize,
-    cands: &mut Vec<(f32, u32)>,
 ) {
     let mut guard = state.links[v as usize].lock();
     while guard.len() <= level {
         guard.push(Vec::new());
     }
-    let list = &mut guard[level];
-    if list.contains(&u) {
-        return;
-    }
-    if list.len() < cap {
-        list.push(u);
-        return;
-    }
-    // Over capacity: re-select among current links + u.
-    cands.clear();
-    let vp = store.get(v);
-    for &w in list.iter() {
-        cands.push((metric.distance(vp, store.get(w)), w));
-    }
-    cands.push((metric.distance(vp, store.get(u)), u));
-    cands.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    let selected = select_neighbors_heuristic(store, metric, cands, cap, params.keep_pruned);
-    *list = selected;
+    offer_edge(store, metric, v, &mut guard[level], u, cap, |cands| {
+        select_neighbors_heuristic(store, metric, cands, cap)
+    });
 }
 
 fn insert(
@@ -209,9 +190,7 @@ fn insert(
             scratch,
         );
         let filtered: Vec<(f32, u32)> = cands.iter().copied().filter(|&(_, c)| c != u).collect();
-        let m_sel = params.m;
-        let selected =
-            select_neighbors_heuristic(store, metric, &filtered, m_sel, params.keep_pruned);
+        let selected = select_neighbors_heuristic(store, metric, &filtered, params.m);
         {
             let mut guard = state.links[u as usize].lock();
             while guard.len() <= level {
@@ -221,7 +200,7 @@ fn insert(
         }
         let cap = if level == 0 { params.max_m0() } else { params.max_m() };
         for &v in &selected {
-            add_link(store, metric, params, state, v, u, level, cap, &mut scratch.cands);
+            add_link(store, metric, state, v, u, level, cap);
         }
         entries = filtered;
         if entries.is_empty() {
@@ -267,7 +246,6 @@ pub(crate) fn build_graph(store: &VecStore, metric: Metric, params: &HnswParams)
                     pool: Pool::new(params.ef_construction.max(1)),
                     visited: VisitedSet::new(n),
                     nbuf: Vec::with_capacity(params.max_m0() + 1),
-                    cands: Vec::with_capacity(params.max_m0() + 2),
                 };
                 loop {
                     let u = cursor.fetch_add(1, Ordering::Relaxed);

@@ -9,15 +9,11 @@ pub struct HnswParams {
     pub ef_construction: usize,
     /// Seed for level assignment.
     pub seed: u64,
-    /// Fill pruned slots back up to `M` with the nearest rejected candidates
-    /// (`keepPrunedConnections` in the paper) — improves connectivity on
-    /// clustered data.
-    pub keep_pruned: bool,
 }
 
 impl Default for HnswParams {
     fn default() -> Self {
-        HnswParams { m: 16, ef_construction: 200, seed: 0x4A53, keep_pruned: true }
+        HnswParams { m: 16, ef_construction: 200, seed: 0x4A53 }
     }
 }
 

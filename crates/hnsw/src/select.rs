@@ -2,53 +2,35 @@
 //!
 //! Given candidates sorted by distance to a base point, keep candidate `c`
 //! only if no already-selected neighbor `r` is closer to `c` than the base
-//! is — the same occlusion rule as MRNG, applied greedily. Optionally refill
-//! pruned slots with the nearest rejected candidates.
+//! is — the MRNG occlusion rule, applied by the workspace's one greedy loop
+//! ([`ann_graph::select()`]) — then refill pruned slots with the nearest
+//! rejected candidates (`keepPrunedConnections`).
 
+use ann_graph::{mrng_occludes, select};
 use ann_vectors::metric::Metric;
 use ann_vectors::VecStore;
 
 /// Select up to `m` diverse neighbors from `candidates` (must be sorted by
-/// ascending distance to the base point).
+/// ascending distance to the base point, without repeated ids), topped up
+/// to `m` with the nearest occluded ones.
 ///
-/// Returns selected ids, nearest first.
+/// Returns selected ids: the diverse ones nearest first, then the refill.
 pub fn select_neighbors_heuristic(
     store: &VecStore,
     metric: Metric,
     candidates: &[(f32, u32)],
     m: usize,
-    keep_pruned: bool,
 ) -> Vec<u32> {
-    debug_assert!(
-        candidates.windows(2).all(|w| w[0].0 <= w[1].0),
-        "candidates must be sorted by distance"
-    );
-    let mut selected: Vec<(f32, u32)> = Vec::with_capacity(m);
-    let mut pruned: Vec<(f32, u32)> = Vec::new();
-    for &(d, c) in candidates {
+    let mut selected = select(candidates, m, mrng_occludes(store, metric));
+    for &(_, c) in candidates {
         if selected.len() >= m {
             break;
         }
-        if selected.iter().any(|&(_, s)| s == c) {
-            continue;
-        }
-        let occluded =
-            selected.iter().any(|&(_, s)| metric.distance(store.get(s), store.get(c)) < d);
-        if occluded {
-            pruned.push((d, c));
-        } else {
-            selected.push((d, c));
+        if !selected.contains(&c) {
+            selected.push(c);
         }
     }
-    if keep_pruned {
-        for &(d, c) in &pruned {
-            if selected.len() >= m {
-                break;
-            }
-            selected.push((d, c));
-        }
-    }
-    selected.into_iter().map(|(_, c)| c).collect()
+    selected
 }
 
 #[cfg(test)]
@@ -77,20 +59,10 @@ mod tests {
     }
 
     #[test]
-    fn occluded_candidates_are_pruned() {
-        let s = line_store();
-        let c = candidates_for_base0(&s, &[1, 2, 3, 4]);
-        let sel = select_neighbors_heuristic(&s, Metric::L2, &c, 4, false);
-        // 1 selected; 2 occluded by 1 (d(1,2)=1 < d(0,2)=4); 3 kept (other
-        // direction); 4 occluded.
-        assert_eq!(sel, vec![1, 3]);
-    }
-
-    #[test]
     fn keep_pruned_refills() {
         let s = line_store();
         let c = candidates_for_base0(&s, &[1, 2, 3, 4]);
-        let sel = select_neighbors_heuristic(&s, Metric::L2, &c, 3, true);
+        let sel = select_neighbors_heuristic(&s, Metric::L2, &c, 3);
         assert_eq!(sel, vec![1, 3, 2], "nearest pruned candidate refills the slot");
     }
 
@@ -98,7 +70,7 @@ mod tests {
     fn m_limits_selection() {
         let s = line_store();
         let c = candidates_for_base0(&s, &[1, 3]);
-        let sel = select_neighbors_heuristic(&s, Metric::L2, &c, 1, true);
+        let sel = select_neighbors_heuristic(&s, Metric::L2, &c, 1);
         assert_eq!(sel, vec![1]);
     }
 
@@ -108,13 +80,13 @@ mod tests {
         let mut c = candidates_for_base0(&s, &[1, 3]);
         c.push(c[1]); // duplicate worst
         c.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let sel = select_neighbors_heuristic(&s, Metric::L2, &c, 4, false);
+        let sel = select_neighbors_heuristic(&s, Metric::L2, &c, 4);
         assert_eq!(sel, vec![1, 3]);
     }
 
     #[test]
     fn empty_candidates() {
         let s = line_store();
-        assert!(select_neighbors_heuristic(&s, Metric::L2, &[], 3, true).is_empty());
+        assert!(select_neighbors_heuristic(&s, Metric::L2, &[], 3).is_empty());
     }
 }

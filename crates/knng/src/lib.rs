@@ -56,11 +56,7 @@ impl KnnGraph {
 
     /// Convert to mutable adjacency for refinement passes.
     pub fn to_var_graph(&self) -> VarGraph {
-        let mut g = VarGraph::new(self.num_nodes());
-        for u in 0..self.num_nodes() as u32 {
-            g.set_neighbors(u, self.neighbors(u).to_vec());
-        }
-        g
+        VarGraph::from(self.ids.chunks(self.k).map(<[u32]>::to_vec).collect::<Vec<_>>())
     }
 
     /// Fraction of `reference`'s edges present here (graph recall).

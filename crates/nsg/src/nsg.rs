@@ -1,19 +1,17 @@
 //! NSG: Navigating Spreading-out Graph (Fu et al., VLDB'19) — the practical
 //! approximation of MRNG and the direct structural ancestor of τ-MNG.
 //!
-//! Pipeline: approximate kNN graph → per-node candidate acquisition by beam
-//! search from the medoid → MRNG occlusion pruning with degree cap `R` →
-//! reverse-edge interconnection → spanning-tree connectivity repair.
+//! Pipeline ([`crate::common::refine`]): approximate kNN graph → per-node
+//! candidate acquisition by beam search from the medoid → MRNG occlusion
+//! pruning with degree cap `R` → reverse-edge interconnection →
+//! spanning-tree connectivity repair.
 
-use crate::common::{acquire_candidates, inter_insert, repair_connectivity, MonotonicIndex};
-use crate::prune::mrng_prune;
-use ann_graph::{FlatGraph, Scratch, VarGraph};
+use crate::common::{refine, search_candidates, MonotonicIndex};
+use ann_graph::{mrng_occludes, select};
 use ann_knng::KnnGraph;
 use ann_vectors::error::{AnnError, Result};
 use ann_vectors::metric::Metric;
-use ann_vectors::parallel::num_threads;
 use ann_vectors::VecStore;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// NSG construction parameters.
@@ -44,84 +42,26 @@ pub fn build_nsg(
     knn: &KnnGraph,
     params: NsgParams,
 ) -> Result<MonotonicIndex> {
-    if store.is_empty() {
-        return Err(AnnError::EmptyDataset);
-    }
-    if knn.num_nodes() != store.len() {
-        return Err(AnnError::InvalidParameter(format!(
-            "kNN graph covers {} nodes, store has {}",
-            knn.num_nodes(),
-            store.len()
-        )));
-    }
     if params.r == 0 || params.l == 0 || params.c == 0 {
         return Err(AnnError::InvalidParameter("NSG parameters must be positive".into()));
     }
-    let n = store.len();
-    let entry = store.medoid(metric)?;
-    let base = knn.to_var_graph();
-
-    // Phase 1 (parallel): candidate acquisition + MRNG pruning per node.
-    let forward: Vec<std::sync::Mutex<Vec<u32>>> =
-        (0..n).map(|_| std::sync::Mutex::new(Vec::new())).collect();
-    let cursor = AtomicUsize::new(0);
-    let threads = num_threads();
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|| {
-                let mut scratch = Scratch::new(n);
-                loop {
-                    let p = cursor.fetch_add(1, Ordering::Relaxed);
-                    if p >= n {
-                        break;
-                    }
-                    let p = p as u32;
-                    let extra: Vec<(f32, u32)> = knn
-                        .neighbors(p)
-                        .iter()
-                        .zip(knn.dists(p))
-                        .map(|(&id, &d)| (d, id))
-                        .collect();
-                    let cands = acquire_candidates(
-                        &store,
-                        metric,
-                        &base,
-                        entry,
-                        p,
-                        params.l,
-                        params.c,
-                        &extra,
-                        &mut scratch,
-                    );
-                    let selected = mrng_prune(&store, metric, &cands, params.r);
-                    *forward[p as usize].lock().unwrap() = selected;
-                }
-            });
-        }
-    });
-    let forward: Vec<Vec<u32>> = forward.into_iter().map(|m| m.into_inner().unwrap()).collect();
-
-    // Phase 2: reverse-edge interconnection with the same pruning rule.
-    let lists = inter_insert(&store, metric, &forward, params.r, |_q, cands| {
-        mrng_prune(&store, metric, cands, params.r)
-    });
-
-    // Phase 3: spanning-tree connectivity repair from the medoid.
-    let mut graph = VarGraph::new(n);
-    for (u, list) in lists.into_iter().enumerate() {
-        graph.set_neighbors(u as u32, list);
-    }
-    repair_connectivity(&mut graph, &store, metric, entry, params.l, params.r);
-
-    let flat = FlatGraph::freeze(&graph, None);
-    Ok(MonotonicIndex::new(store, metric, flat, entry, "NSG"))
+    let (graph, entry) = refine(
+        &store,
+        metric,
+        knn,
+        params.r,
+        params.l,
+        search_candidates(&store, metric, knn, params.l, params.c),
+        |_p, cands| select(cands, params.r, mrng_occludes(&store, metric)),
+    )?;
+    Ok(MonotonicIndex::new(store, metric, graph, entry, "NSG"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ann_graph::connectivity::fully_reachable;
-    use ann_graph::{AnnIndex, GraphView};
+    use ann_graph::{AnnIndex, GraphView, Scratch};
     use ann_knng::brute_force_knn_graph;
     use ann_vectors::accuracy::mean_recall_at_k;
     use ann_vectors::brute_force_ground_truth;

@@ -6,15 +6,12 @@
 //! (prune a candidate only if a selected neighbor subtends less than θ,
 //! default 60°), which spreads edges across directions.
 
-use crate::common::{inter_insert, repair_connectivity, MonotonicIndex};
-use crate::prune::angle_prune;
-use ann_graph::{FlatGraph, VarGraph};
+use crate::common::{refine, MonotonicIndex};
+use ann_graph::{by_distance, select, Scratch};
 use ann_knng::KnnGraph;
 use ann_vectors::error::{AnnError, Result};
-use ann_vectors::metric::Metric;
-use ann_vectors::parallel::num_threads;
+use ann_vectors::metric::{l2_sq, Metric};
 use ann_vectors::VecStore;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// SSG construction parameters.
@@ -46,72 +43,67 @@ pub fn build_ssg(
     knn: &KnnGraph,
     params: SsgParams,
 ) -> Result<MonotonicIndex> {
-    if store.is_empty() {
-        return Err(AnnError::EmptyDataset);
-    }
-    if knn.num_nodes() != store.len() {
-        return Err(AnnError::InvalidParameter(format!(
-            "kNN graph covers {} nodes, store has {}",
-            knn.num_nodes(),
-            store.len()
-        )));
-    }
     if params.r == 0 || params.c == 0 || params.l == 0 {
         return Err(AnnError::InvalidParameter("SSG parameters must be positive".into()));
     }
     if !(0.0..=180.0).contains(&params.angle_degrees) {
         return Err(AnnError::InvalidParameter("angle must be within 0..=180 degrees".into()));
     }
-    let n = store.len();
-    let entry = store.medoid(metric)?;
     let cos_theta = params.angle_degrees.to_radians().cos() as f32;
-
-    // Phase 1 (parallel): 2-hop candidates + angle pruning.
-    let forward: Vec<std::sync::Mutex<Vec<u32>>> =
-        (0..n).map(|_| std::sync::Mutex::new(Vec::new())).collect();
-    let cursor = AtomicUsize::new(0);
-    let threads = num_threads();
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|| loop {
-                let p = cursor.fetch_add(1, Ordering::Relaxed);
-                if p >= n {
-                    break;
-                }
-                let p = p as u32;
-                let vp = store.get(p);
-                let mut cand_ids: Vec<u32> = knn.neighbors(p).to_vec();
-                for &q in knn.neighbors(p) {
-                    cand_ids.extend_from_slice(knn.neighbors(q));
-                }
-                cand_ids.sort_unstable();
-                cand_ids.dedup();
-                cand_ids.retain(|&c| c != p);
-                let mut cands: Vec<(f32, u32)> =
-                    cand_ids.into_iter().map(|c| (metric.distance(vp, store.get(c)), c)).collect();
-                cands.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-                cands.truncate(params.c);
-                let selected = angle_prune(&store, p, &cands, params.r, cos_theta);
-                *forward[p as usize].lock().unwrap() = selected;
-            });
+    let two_hop = |p: u32, _entry: u32, _: &mut Scratch| {
+        let vp = store.get(p);
+        let mut ids: Vec<u32> = knn.neighbors(p).to_vec();
+        for &q in knn.neighbors(p) {
+            ids.extend_from_slice(knn.neighbors(q));
         }
-    });
-    let forward: Vec<Vec<u32>> = forward.into_iter().map(|m| m.into_inner().unwrap()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.retain(|&c| c != p);
+        let mut cands: Vec<(f32, u32)> =
+            ids.into_iter().map(|c| (metric.distance(vp, store.get(c)), c)).collect();
+        cands.sort_by(by_distance);
+        cands.truncate(params.c);
+        cands
+    };
+    let (graph, entry) = refine(&store, metric, knn, params.r, params.l, two_hop, |p, cands| {
+        select(&l2_keyed(&store, p, cands), params.r, angle_occludes(&store, cos_theta))
+    })?;
+    Ok(MonotonicIndex::new(store, metric, graph, entry, "SSG"))
+}
 
-    // Phase 2: reverse edges under the same angular rule.
-    let lists = inter_insert(&store, metric, &forward, params.r, |q, cands| {
-        angle_prune(&store, q, cands, params.r, cos_theta)
-    });
+/// Re-key `p`'s candidates by squared L2 distance from `p` — sorted,
+/// deduplicated, `p` removed — so the angle rule works in Euclidean
+/// geometry whatever the index metric: exact for L2, and exact on the unit
+/// sphere for normalized cosine data.
+fn l2_keyed(store: &VecStore, p: u32, candidates: &[(f32, u32)]) -> Vec<(f32, u32)> {
+    let vp = store.get(p);
+    let mut keyed: Vec<(f32, u32)> = candidates
+        .iter()
+        .filter(|&&(_, c)| c != p)
+        .map(|&(_, c)| (l2_sq(vp, store.get(c)), c))
+        .collect();
+    keyed.sort_by(by_distance);
+    keyed.dedup_by_key(|e| e.1);
+    keyed
+}
 
-    // Phase 3: connectivity repair from the medoid.
-    let mut graph = VarGraph::new(n);
-    for (u, list) in lists.into_iter().enumerate() {
-        graph.set_neighbors(u as u32, list);
+/// SSG's occlusion predicate for [`select`] over [`l2_keyed`] candidates:
+/// a selected `s` occludes `c` when it subtends an angle smaller than θ at
+/// the base point `p` (`cos ∠(s, p, c) > cos θ`, by the law of cosines over
+/// squared L2 distances). A point coincident with `p` on either side has no
+/// angle and occludes nothing.
+fn angle_occludes(
+    store: &VecStore,
+    cos_theta: f32,
+) -> impl Fn((f32, u32), (f32, u32)) -> bool + '_ {
+    move |(d_ps, s), (d_pc, c)| {
+        if d_ps == 0.0 || d_pc == 0.0 {
+            return false;
+        }
+        let d_sc = l2_sq(store.get(s), store.get(c));
+        let cos = (d_pc + d_ps - d_sc) / (2.0 * (d_pc * d_ps).sqrt());
+        cos > cos_theta
     }
-    repair_connectivity(&mut graph, &store, metric, entry, params.l, params.r);
-
-    let flat = FlatGraph::freeze(&graph, None);
-    Ok(MonotonicIndex::new(store, metric, flat, entry, "SSG"))
 }
 
 #[cfg(test)]
@@ -127,6 +119,63 @@ mod tests {
     fn dataset(n: usize, nq: usize, dim: usize, seed: u64) -> (Arc<VecStore>, VecStore) {
         let mix = FrozenMixture::new(&MixtureSpec::default_for(dim), seed);
         (Arc::new(mixture_base(&mix, n, seed)), mixture_queries(&mix, nq, seed))
+    }
+
+    /// SSG's rule as the builder applies it.
+    fn angle_rule(s: &VecStore, p: u32, cands: &[(f32, u32)], cos_theta: f32) -> Vec<u32> {
+        select(&l2_keyed(s, p, cands), 8, angle_occludes(s, cos_theta))
+    }
+
+    fn store() -> VecStore {
+        VecStore::from_rows(&[
+            vec![0.0, 0.0], // 0: base p
+            vec![1.0, 0.0], // 1
+            vec![2.0, 0.0], // 2: occluded by 1 under MRNG
+            vec![0.0, 1.0], // 3
+            vec![1.2, 0.4], // 4: small angle vs 1
+        ])
+        .unwrap()
+    }
+
+    fn sorted_cands(s: &VecStore, ids: &[u32]) -> Vec<(f32, u32)> {
+        let mut c: Vec<(f32, u32)> =
+            ids.iter().map(|&i| (Metric::L2.distance(s.get(0), s.get(i)), i)).collect();
+        c.sort_by(|a, b| a.0.total_cmp(&b.0));
+        c
+    }
+
+    #[test]
+    fn angle_prune_rejects_small_angles() {
+        let s = store();
+        let cands = sorted_cands(&s, &[1, 3, 4]);
+        // cos 60° = 0.5: node 4 is ~18° from node 1 → pruned; node 3 at 90° → kept.
+        assert_eq!(angle_rule(&s, 0, &cands, 0.5), vec![1, 3]);
+    }
+
+    #[test]
+    fn angle_prune_with_loose_theta_keeps_more() {
+        let s = store();
+        let cands = sorted_cands(&s, &[1, 3, 4]);
+        // cos θ close to 1 ⇒ nothing occludes.
+        assert_eq!(angle_rule(&s, 0, &cands, 0.999).len(), 3);
+    }
+
+    #[test]
+    fn angle_prune_handles_duplicate_points() {
+        let s = VecStore::from_rows(&[vec![0.0, 0.0], vec![0.0, 0.0], vec![1.0, 0.0]]).unwrap();
+        let cands = vec![(0.0, 1u32), (1.0, 2u32)];
+        let sel = angle_rule(&s, 0, &cands, 0.5);
+        assert_eq!(sel, vec![1, 2], "coincident point connected, other kept");
+    }
+
+    #[test]
+    fn prunes_exclude_self_and_dups() {
+        let s = store();
+        let mut cands = sorted_cands(&s, &[1, 1, 3]);
+        cands.insert(0, (0.0, 0)); // self at distance 0
+        assert_eq!(angle_rule(&s, 0, &cands, 0.5), vec![1, 3]);
+        let mrng = ann_graph::mrng_occludes(&s, Metric::L2);
+        assert_eq!(select(&sorted_cands(&s, &[1, 1, 3]), 8, mrng), vec![1, 3]);
     }
 
     #[test]

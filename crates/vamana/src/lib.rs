@@ -13,7 +13,9 @@
 
 #![forbid(unsafe_code)]
 
-use ann_graph::{FlatGraph, FrozenGraphIndex, Pool, VarGraph, VisitedSet};
+use ann_graph::{
+    by_distance, offer_edge, select, FlatGraph, FrozenGraphIndex, Pool, VarGraph, VisitedSet,
+};
 use ann_vectors::error::{AnnError, Result};
 use ann_vectors::metric::Metric;
 use ann_vectors::parallel::num_threads;
@@ -44,10 +46,14 @@ impl Default for VamanaParams {
 }
 
 /// DiskANN's RobustPrune: greedily keep the closest remaining candidate and
-/// discard every candidate it α-dominates (`α · d(kept, c) ≤ d(p, c)`).
+/// discard every candidate it α-dominates (`α · d(kept, c) ≤ d(p, c)`) —
+/// the one greedy loop ([`ann_graph::select()`]) with that predicate.
 ///
 /// `candidates` must be sorted ascending by distance to `p` and must not
 /// contain `p`. With `alpha = 1` this is exactly the MRNG rule.
+// The predicate reads "not kept" rather than `<=` so that a NaN distance
+// prunes, as DiskANN's keep-if-`>` filter does.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
 pub fn robust_prune(
     store: &VecStore,
     metric: Metric,
@@ -55,26 +61,9 @@ pub fn robust_prune(
     r: usize,
     alpha: f32,
 ) -> Vec<u32> {
-    debug_assert!(candidates.windows(2).all(|w| w[0].0 <= w[1].0));
-    let mut alive: Vec<(f32, u32)> = candidates.to_vec();
-    alive.dedup_by_key(|e| e.1);
-    let mut selected: Vec<u32> = Vec::with_capacity(r);
-    let mut i = 0;
-    while i < alive.len() && selected.len() < r {
-        let (_, c) = alive[i];
-        selected.push(c);
-        let vc = store.get(c);
-        // Drop everything the new neighbor α-dominates, preserving order.
-        let tail: Vec<(f32, u32)> = alive[i + 1..]
-            .iter()
-            .copied()
-            .filter(|&(d_pe, e)| e != c && alpha * metric.distance(vc, store.get(e)) > d_pe)
-            .collect();
-        alive.truncate(i + 1);
-        alive.extend(tail);
-        i += 1;
-    }
-    selected
+    select(candidates, r, |(_, s), (d_pc, c)| {
+        !(alpha * metric.distance(store.get(s), store.get(c)) > d_pc)
+    })
 }
 
 /// Beam search over the under-construction (locked) graph, recording every
@@ -197,29 +186,17 @@ pub fn build_vamana(
                                 log.push((metric.distance(vp, store.get(w)), w));
                             }
                         }
-                        log.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+                        log.sort_by(by_distance);
                         log.dedup_by_key(|e| e.1);
                         log.retain(|&(_, id)| id != p);
                         let selected = robust_prune(&store, metric, &log, params.r, alpha);
                         *links[p as usize].lock() = selected.clone();
                         // Reverse edges with overflow re-pruning.
                         for &q in &selected {
-                            let mut guard = links[q as usize].lock();
-                            if guard.contains(&p) {
-                                continue;
-                            }
-                            if guard.len() < params.r {
-                                guard.push(p);
-                                continue;
-                            }
-                            let vq = store.get(q);
-                            let mut cands: Vec<(f32, u32)> = guard
-                                .iter()
-                                .map(|&w| (metric.distance(vq, store.get(w)), w))
-                                .collect();
-                            cands.push((metric.distance(vq, vp), p));
-                            cands.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-                            *guard = robust_prune(&store, metric, &cands, params.r, alpha);
+                            let mut list = links[q as usize].lock();
+                            offer_edge(&store, metric, q, &mut list, p, params.r, |cands| {
+                                robust_prune(&store, metric, cands, params.r, alpha)
+                            });
                         }
                     }
                 });
@@ -227,10 +204,7 @@ pub fn build_vamana(
         });
     }
 
-    let mut graph = VarGraph::new(n);
-    for (u, m) in links.into_iter().enumerate() {
-        graph.set_neighbors(u as u32, m.into_inner());
-    }
+    let graph = VarGraph::from(links.into_iter().map(Mutex::into_inner).collect::<Vec<_>>());
     let flat = FlatGraph::freeze(&graph, None);
     Ok(FrozenGraphIndex::new(store, metric, flat, entry, "Vamana"))
 }

@@ -184,3 +184,23 @@ fn k_equal_n_returns_all_points_on_connected_index() {
     ids.dedup();
     assert_eq!(ids.len(), 60, "full sweep must reach every point");
 }
+
+/// τ-MNG at τ = 0 is NSG. The τ rule with no slack is MRNG's, and both
+/// builders run the same refinement pipeline, so with equal R, L and C they
+/// give the same entry point and adjacency — on an L2 recipe and on a cosine
+/// one. One build thread makes the reverse-edge phase run in the same order.
+#[test]
+fn nsg_equals_tau_mng_at_tau_zero() {
+    std::env::set_var("ANN_THREADS", "1");
+    let (r, l, c) = (32, 64, 200);
+    for recipe in [Recipe::SiftLike, Recipe::GloveLike] {
+        let ds = recipe.build(N, 1, 1234);
+        let base = Arc::new(ds.base);
+        let knn = brute_force_knn_graph(ds.metric, &base, 20).unwrap();
+        let nsg = build_nsg(Arc::clone(&base), ds.metric, &knn, NsgParams { r, l, c }).unwrap();
+        let tau_mng =
+            build_tau_mng(base, ds.metric, &knn, TauMngParams { tau: 0.0, r, l, c }).unwrap();
+        assert_eq!(nsg.entry_point(), tau_mng.entry_point(), "{recipe:?}: entry point");
+        assert!(nsg.graph() == tau_mng.graph(), "{recipe:?}: adjacency differs");
+    }
+}
